@@ -33,6 +33,21 @@ done
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== golden smoke (fleet-vasp simulated output vs perfbench/golden.json) =="
+# One short perfbench iteration digests every simulated statistic of the
+# headline fleet run and checks it against the pinned golden digests.
+GOLDEN_RESULT="$(python3 perfbench/run.py --workload fleet-vasp --seed 0 \
+    --seconds 1 --trace 0 | tail -n 1)"
+python - "$GOLDEN_RESULT" <<'PY'
+import json, sys
+
+result = json.loads(sys.argv[1])
+assert result["correct"] is True and result["failed"] == 0, (
+    f"golden smoke failed: correct={result['correct']} failed={result['failed']}"
+)
+print(f"golden ok: {result['attempted']} operations match perfbench/golden.json")
+PY
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 

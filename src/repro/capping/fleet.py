@@ -433,6 +433,8 @@ def simulate_fleet_traced(
     bytes_streamed = 0
     jobs_done = 0
     retained: list[tuple[shard.ShardJobTask, RunResult]] = []
+    #: Running total of ``resident_bytes()`` over ``retained``.
+    retained_bytes = 0
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
     #: Jobs of the same benchmark at the same width share a phase list;
@@ -565,9 +567,7 @@ def simulate_fleet_traced(
         obs.inc("repro_fleet_jobs_rendered_total")
         obs.inc("repro_fleet_partials_merged_total")
         obs.gauge_set(
-            "repro_fleet_resident_bytes",
-            accumulator.resident_bytes
-            + sum(r.resident_bytes() for _, r in retained),
+            "repro_fleet_resident_bytes", accumulator.resident_bytes + retained_bytes
         )
         if checkpoint_path is not None and (
             jobs_done % checkpoint_every == 0 or jobs_done == total_jobs
@@ -660,10 +660,10 @@ def simulate_fleet_traced(
                     seed=task.seed,
                 )
                 retained.append((task, result))
+                retained_bytes += result.resident_bytes()
                 obs.gauge_set(
                     "repro_fleet_resident_bytes",
-                    accumulator.resident_bytes
-                    + sum(r.resident_bytes() for _, r in retained),
+                    accumulator.resident_bytes + retained_bytes,
                 )
             # Dense reference: re-chunk the retained traces through the
             # same per-job partial fold the streaming path uses —

@@ -45,7 +45,7 @@ from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec
 from repro.hardware.system import JobPowerPartial, RunningMoments
 from repro.runner.cache import atomic_write_pickle, fingerprint
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig, PowerEngine, import_render_modules
 from repro.runner.sweep import workers_from_env
 from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
@@ -434,6 +434,7 @@ def run_sharded(
     expected = sorted(task.index for task in tasks)
     pending: dict[int, JobPartial] = {}
     folded = 0
+    import_render_modules()
     try:
         try:
             with ProcessPoolExecutor(max_workers=len(shards)) as pool:

@@ -21,13 +21,12 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro import obs
 from repro.hardware.gpu import resolve_phase_batch
 from repro.hardware.node import GpuNode
 from repro.hardware.variability import unit_rng
-from repro.perfmodel.power import demand_power_batch, demand_power_w
+from repro.perfmodel.power import demand_power_batch
 from repro.vasp.phases import MacroPhase
 from repro.runner.trace import (
     COMPONENT_KEYS,
@@ -65,6 +64,16 @@ def render_chunk_samples() -> int | None:
         logger.warning("ignoring non-positive %s=%r", RENDER_CHUNK_ENV, raw)
         return None
     return value
+
+
+def import_render_modules() -> None:
+    """Import the render path's ``scipy.signal`` (~1 s) in this process.
+
+    The engine imports it at first render, so commands that never render
+    skip the cost.  Call this before forking render workers: forked
+    children then inherit the module instead of each importing it.
+    """
+    import scipy.signal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -140,21 +149,23 @@ class StreamedRun:
     chunks: Iterator[TraceChunk]
 
 
-@dataclass(frozen=True)
-class _ResolvedPhase:
-    """A phase with cap effects applied, ready for rendering."""
-
-    record: PhaseRecord
-    # per node: component -> mean power during the phase
-    node_means: list[dict[str, float]]
-
-
 class PowerEngine:
-    """Runs phase sequences on a fixed set of nodes."""
+    """Runs phase sequences on a fixed set of nodes.
+
+    A resolved schedule stays columnar from the cap resolve to the noise
+    render: one ``[phases, nodes, len(COMPONENT_KEYS)]`` float64 ``means``
+    array plus per-phase sample counts on the regular grid.
+    """
 
     def __init__(self, nodes: list[GpuNode], config: EngineConfig | None = None) -> None:
         if not nodes:
             raise ValueError("engine needs at least one node")
+        gpu_counts = sorted({len(node.gpus) for node in nodes})
+        if gpu_counts != [len(GPU_KEYS)]:
+            raise ValueError(
+                f"engine nodes must each carry {len(GPU_KEYS)} GPUs (the trace "
+                f"schema's {', '.join(GPU_KEYS)}), got GPU counts {gpu_counts}"
+            )
         self.nodes = nodes
         self.config = config if config is not None else EngineConfig()
 
@@ -167,39 +178,19 @@ class PowerEngine:
             unit_rng(gpu_serial, "imbalance").uniform(0.0, self.config.rank_imbalance)
         )
 
-    def _gpu_skews(self) -> dict[str, float]:
-        """Per-GPU rank skews for every GPU in the pool."""
-        return {
-            gpu.serial: self._rank_skew(gpu.serial)
-            for node in self.nodes
-            for gpu in node.gpus
-        }
-
-    def _resolve_phases(self, phases: list[MacroPhase]) -> list[_ResolvedPhase]:
+    def _resolve_phases(
+        self, phases: list[MacroPhase]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cap-resolve all phases on all nodes x GPUs with array ops.
 
-        This is the vectorized equivalent of calling
-        :meth:`_resolve_phase_reference` per phase: one batched pass over a
-        ``[phases, nodes, gpus]`` grid instead of three nested Python
-        loops.  Heterogeneous pools (nodes with differing GPU counts) fall
-        back to the reference path.
+        Returns ``(means, nominal_s, slowdown)``: ``means`` is the
+        ``[phases, nodes, len(COMPONENT_KEYS)]`` mean power of every node
+        component during each phase; ``nominal_s`` and ``slowdown`` are
+        per-phase ``[phases]`` arrays (the phase runs for
+        ``nominal_s * slowdown`` once capped).
         """
-        gpu_counts = {len(node.gpus) for node in self.nodes}
-        if len(gpu_counts) != 1:
-            logger.debug(
-                "heterogeneous pool (%s GPUs/node): using reference resolve path",
-                sorted(gpu_counts),
-            )
-            obs.inc("repro_engine_resolve_total", len(phases), path="reference")
-            resolved = []
-            for p in phases:
-                with obs.span("engine.resolve_phase", phase=p.name, path="reference"):
-                    resolved.append(self._resolve_phase_reference(p))
-            return resolved
         obs.inc("repro_engine_resolve_total", len(phases), path="vectorized")
-
         nodes = self.nodes
-        n_nodes = len(nodes)
 
         # Per-phase inputs, shape [P] (broadcast against GPUs as [P, 1, 1]).
         duty = np.array([p.gpu_profile.duty_cycle for p in phases])
@@ -214,11 +205,10 @@ class PowerEngine:
             key: np.stack([arrays[key] for arrays in per_node])
             for key in per_node[0]
         }
-        skews_by_serial = self._gpu_skews()
         skews = np.array(
-            [[skews_by_serial[gpu.serial] for gpu in node.gpus] for node in nodes]
+            [[self._rank_skew(gpu.serial) for gpu in node.gpus] for node in nodes]
         )
-        max_skew = float(skews.max()) if skews.size else 0.0
+        max_skew = float(skews.max())
 
         demand = demand_power_batch(
             uc[:, None, None],
@@ -252,163 +242,65 @@ class PowerEngine:
 
         # Ranks synchronize: each phase runs at the slowest GPU's pace.
         slow_terms = (duty_b * slow + (1.0 - duty_b)) * (1.0 + max_skew)
-        phase_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
-        phase_slowdown = np.where(duty <= 0.0, 1.0, phase_slowdown)
+        slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
+        slowdown = np.where(duty <= 0.0, 1.0, slowdown)
 
-        # Host-side components per node, shape [P] each.
+        # Host-side components, shape [P, N].  Summation order matches
+        # NodePowerSample.node_w: GPUs from 0.0 in index order, then
+        # cpu + gpus + memory + nic + baseboard.
         cpu_u = np.array([p.cpu_utilization for p in phases])
         mem_u = np.array([p.mem_bw_utilization for p in phases])
         nic_u = np.array([p.nic_utilization for p in phases])
-        node_components: list[dict[str, np.ndarray]] = []
-        for node_index, node in enumerate(nodes):
-            cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
-            gpu_total = 0.0
-            for gpu_index in range(len(node.gpus)):
-                gpu_total = gpu_total + gpu_means[:, node_index, gpu_index]
-            node_w = cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
-            node_components.append(
-                {"cpu": cpu_w, "memory": memory_w, "node": node_w}
-            )
-
-        resolved = []
-        for phase_index, phase in enumerate(phases):
-            slowdown = float(phase_slowdown[phase_index])
-            node_means: list[dict[str, float]] = []
-            for node_index, node in enumerate(nodes):
-                means = {
-                    key: float(series[phase_index])
-                    for key, series in node_components[node_index].items()
-                }
-                for gpu_index, key in zip(range(len(node.gpus)), GPU_KEYS):
-                    means[key] = float(gpu_means[phase_index, node_index, gpu_index])
-                node_means.append(means)
-            record = PhaseRecord(
-                name=phase.name,
-                start_s=0.0,
-                end_s=phase.duration_s * slowdown,
-                nominal_duration_s=phase.duration_s,
-                slowdown=slowdown,
-            )
-            resolved.append(_ResolvedPhase(record=record, node_means=node_means))
-        return resolved
-
-    def _resolve_phase_reference(self, phase: MacroPhase) -> _ResolvedPhase:
-        """Cap-resolve one phase on every node (schedule set later).
-
-        Scalar reference implementation: per-node / per-GPU Python loops.
-        The production path is :meth:`_resolve_phases`; this is kept as the
-        readable specification, the fallback for heterogeneous pools, and
-        the oracle the vectorized-equivalence tests replay.
-        """
-        profile = phase.gpu_profile
-        duty = profile.duty_cycle
-        node_means: list[dict[str, float]] = []
-        slowdown = 1.0
-        skews = {
-            gpu.serial: self._rank_skew(gpu.serial)
-            for node in self.nodes
-            for gpu in node.gpus
+        host = [node.host_power_batch(cpu_u, mem_u, nic_u) for node in nodes]
+        cpu_w, memory_w, nic_w = (np.stack(parts, axis=1) for parts in zip(*host))
+        gpu_total = 0.0
+        for gpu_index in range(len(GPU_KEYS)):
+            gpu_total = gpu_total + gpu_means[:, :, gpu_index]
+        baseboard_w = np.array([node.baseboard_power_w for node in nodes])
+        columns = {
+            "cpu": cpu_w,
+            "memory": memory_w,
+            "node": cpu_w + gpu_total + memory_w + nic_w + baseboard_w,
         }
-        max_skew = max(skews.values()) if skews else 0.0
-        for node in self.nodes:
-            gpu_means: list[float] = []
-            for gpu in node.gpus:
-                if duty <= 0.0:
-                    gpu_means.append(gpu.idle_power_w)
-                    continue
-                demand = demand_power_w(profile, gpu.envelope)
-                sample = gpu.resolve_phase(demand, profile.compute_fraction)
-                # Load imbalance: rank i holds (1 + skew_i) of the nominal
-                # work; the phase runs at the most-loaded rank's pace while
-                # the others idle-wait, diluting their duty cycle.
-                rank_duty = min(
-                    duty * (1.0 + skews[gpu.serial]) / (1.0 + max_skew), 1.0
-                )
-                gpu_means.append(
-                    rank_duty * sample.power_w + (1.0 - rank_duty) * gpu.idle_power_w
-                )
-                # Ranks synchronize: the job runs at the slowest GPU's pace.
-                slowdown = max(
-                    slowdown,
-                    (duty * sample.slowdown + (1.0 - duty)) * (1.0 + max_skew),
-                )
-            node_sample = node.sample(
-                gpu_power_w=gpu_means,
-                cpu_utilization=phase.cpu_utilization,
-                memory_bandwidth_utilization=phase.mem_bw_utilization,
-                nic_utilization=phase.nic_utilization,
-            )
-            means = {
-                "cpu": node_sample.cpu_w,
-                "memory": node_sample.memory_w,
-                "node": node_sample.node_w,
-            }
-            for key, value in zip(GPU_KEYS, node_sample.gpu_w):
-                means[key] = value
-            node_means.append(means)
-        record = PhaseRecord(
-            name=phase.name,
-            start_s=0.0,
-            end_s=phase.duration_s * slowdown,
-            nominal_duration_s=phase.duration_s,
-            slowdown=slowdown,
-        )
-        return _ResolvedPhase(record=record, node_means=node_means)
+        for gpu_index, key in enumerate(GPU_KEYS):
+            columns[key] = gpu_means[:, :, gpu_index]
+        means = np.stack([columns[key] for key in COMPONENT_KEYS], axis=-1)
+        nominal_s = np.array([p.duration_s for p in phases], dtype=float)
+        return means, nominal_s, slowdown
 
-    def _phase_sample_counts(
-        self, resolved: list[_ResolvedPhase]
-    ) -> tuple[int, list[int]]:
-        """(total samples, per-phase sample counts) on the regular grid."""
-        dt = self.config.base_interval_s
-        total = sum(r.record.duration_s for r in resolved)
-        n_samples = max(int(round(total / dt)), 1)
-        counts = []
-        acc = 0
-        t_acc = 0.0
-        for r in resolved:
-            t_acc += r.record.duration_s
-            upto = min(int(round(t_acc / dt)), n_samples)
-            counts.append(max(upto - acc, 0))
-            acc = upto
-        if acc < n_samples:
-            # Rounding drift: park the remainder on the final phase so the
-            # per-phase counts always sum to n_samples.
-            counts[-1] += n_samples - acc
-        return n_samples, counts
+    def _phase_sample_counts(self, durations: np.ndarray) -> np.ndarray:
+        """Per-phase sample counts on the regular grid.
 
-    def _empty_traces(self) -> list[PowerTrace]:
-        """Zero-sample traces (run() rejects empty phase lists, but
-        callers may render filtered schedules)."""
-        dtype = trace_dtype()
-        return [
-            PowerTrace.from_block(
-                TraceBlock(
-                    node_name=node.name,
-                    times=np.empty(0),
-                    data=np.empty((len(COMPONENT_KEYS), 0), dtype=dtype),
-                    base_interval_s=self.config.base_interval_s,
-                )
-            )
-            for node in self.nodes
-        ]
+        ``durations`` are the laid-out phase wall times (``end - start``).
+        Phase ``i`` ends at sample ``rint(sum(durations[:i + 1]) / dt)``
+        (half to even, as ``round()``); counts are the differences of
+        those boundaries.  A schedule always renders at least one
+        sample: a total that rounds to zero puts one on the final phase.
+        """
+        upto = np.rint(np.cumsum(durations) / self.config.base_interval_s)
+        counts = np.diff(upto.astype(np.int64), prepend=0)
+        if upto[-1] == 0:
+            counts[-1] = 1
+        return counts
 
     def _render_traces(
         self,
-        resolved: list[_ResolvedPhase],
+        means: np.ndarray,
+        counts: np.ndarray,
         rng: np.random.Generator,
         chunk_samples: int | None = None,
     ) -> list[PowerTrace]:
-        """Render the resolved schedule onto the regular sample grid.
+        """Render a resolved ``[P, N, C]`` schedule onto the sample grid.
 
-        The output is columnar: one ``(n_components, n_samples)`` block
-        per node.  With ``chunk_samples`` set, rows are filled through the
-        chunked path (bit-identical; see :meth:`_iter_component_chunks`).
+        ``counts`` holds each phase's samples (see
+        :meth:`_phase_sample_counts`).  The output is columnar: one
+        ``(n_components, n_samples)`` block per node.  With
+        ``chunk_samples`` set, rows are filled through the chunked path
+        (bit-identical; see :meth:`_iter_component_chunks`).
         """
-        if not resolved:
-            return self._empty_traces()
         dt = self.config.base_interval_s
         dtype = trace_dtype()
-        n_samples, counts = self._phase_sample_counts(resolved)
+        n_samples = int(counts.sum())
         times = (np.arange(n_samples) + 0.5) * dt
 
         blocks = [
@@ -421,32 +313,28 @@ class PowerEngine:
             for node in self.nodes
         ]
         if chunk_samples is None:
-            for node_index in range(len(self.nodes)):
-                block = blocks[node_index]
-                for row, key in enumerate(COMPONENT_KEYS):
-                    means = np.repeat(
-                        [r.node_means[node_index][key] for r in resolved], counts
+            for node_index, block in enumerate(blocks):
+                for row in range(len(COMPONENT_KEYS)):
+                    block.data[row] = self._add_noise(
+                        np.repeat(means[:, node_index, row], counts), rng
                     )
-                    block.data[row] = self._add_noise(means, rng)
         else:
-            for node_index, key, start, values in self._iter_component_chunks(
-                resolved, rng, n_samples, counts, chunk_samples
+            for node_index, row, start, values in self._iter_component_chunks(
+                means, counts, rng, chunk_samples
             ):
-                blocks[node_index].data[
-                    COMPONENT_KEYS.index(key), start : start + len(values)
-                ] = values
+                blocks[node_index].data[row, start : start + len(values)] = values
         return [PowerTrace.from_block(block) for block in blocks]
 
     def _iter_component_chunks(
         self,
-        resolved: list[_ResolvedPhase],
+        means: np.ndarray,
+        counts: np.ndarray,
         rng: np.random.Generator,
-        n_samples: int,
-        counts: list[int],
         chunk_samples: int,
-    ) -> Iterator[tuple[int, str, int, np.ndarray]]:
-        """Yield ``(node_index, component, start, values)`` fixed-size chunks.
+    ) -> Iterator[tuple[int, int, int, np.ndarray]]:
+        """Yield ``(node_index, row, start, values)`` fixed-size chunks.
 
+        ``row`` indexes :data:`~repro.runner.trace.COMPONENT_KEYS`.
         Bit-identical to the whole-schedule render: chunks are emitted in
         the same (node, component, time) order the whole render consumes
         the RNG stream in, and the AR(1) filter state is carried across
@@ -456,14 +344,11 @@ class PowerEngine:
         """
         if chunk_samples < 1:
             raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-        cfg = self.config
+        n_samples = int(counts.sum())
         edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        dt = cfg.base_interval_s
-        for node_index in range(len(self.nodes)):
-            for key in COMPONENT_KEYS:
-                levels = np.array(
-                    [r.node_means[node_index][key] for r in resolved], dtype=float
-                )
+        for node_index in range(means.shape[1]):
+            for row in range(len(COMPONENT_KEYS)):
+                levels = means[:, node_index, row]
                 zi = np.zeros(1)
                 for start in range(0, n_samples, chunk_samples):
                     stop = min(start + chunk_samples, n_samples)
@@ -474,10 +359,11 @@ class PowerEngine:
                         np.minimum(edges[i0 + 1 : i1 + 1], stop)
                         - np.maximum(edges[i0:i1], start)
                     )
-                    means = np.repeat(levels[i0:i1], seg_counts)
-                    values, zi = self._add_noise_chunk(means, rng, zi)
+                    values, zi = self._add_noise_chunk(
+                        np.repeat(levels[i0:i1], seg_counts), rng, zi
+                    )
                     obs.inc("repro_engine_chunks_total")
-                    yield node_index, key, start, values
+                    yield node_index, row, start, values
 
     def _add_noise(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """AR(1) noise proportional to the signal's dynamic range."""
@@ -494,6 +380,8 @@ class PowerEngine:
         ``lfilter`` makes chunked rendering bit-identical to filtering the
         whole series at once.
         """
+        from scipy.signal import lfilter  # deferred: see import_render_modules
+
         cfg = self.config
         if cfg.noise_rel_sigma == 0.0 or len(means) == 0:
             return means.astype(float), zi
@@ -527,49 +415,54 @@ class PowerEngine:
 
     def _resolve_and_layout(
         self, phases: list[MacroPhase]
-    ) -> tuple[list[_ResolvedPhase], list[PhaseRecord], float]:
-        """Cap-resolve phases and lay them out on the wall clock."""
+    ) -> tuple[np.ndarray, np.ndarray, list[PhaseRecord], float]:
+        """Cap-resolve phases and lay them out on the wall clock.
+
+        Returns ``(means, counts, records, runtime_s)``: the ``[P, N, C]``
+        resolved means, per-phase sample counts, the phase schedule and
+        its total wall time.  Phases run back to back, so each one ends at
+        the running sum of the capped durations.
+        """
         with obs.span(
             "engine.resolve_phases", phases=len(phases), nodes=len(self.nodes)
         ):
-            resolved = self._resolve_phases(phases)
-        records = []
-        clock = 0.0
-        for r in resolved:
-            duration = r.record.duration_s
-            records.append(
-                PhaseRecord(
-                    name=r.record.name,
-                    start_s=clock,
-                    end_s=clock + duration,
-                    nominal_duration_s=r.record.nominal_duration_s,
-                    slowdown=r.record.slowdown,
-                )
+            means, nominal_s, slowdown = self._resolve_phases(phases)
+        ends = np.cumsum(nominal_s * slowdown)
+        starts = np.concatenate([[0.0], ends[:-1]])
+        # Sample counts follow the laid-out durations ``end - start``, which
+        # can differ from ``nominal_s * slowdown`` in the last bit.
+        counts = self._phase_sample_counts(ends - starts)
+        records = [
+            PhaseRecord(
+                name=phase.name,
+                start_s=start,
+                end_s=end,
+                nominal_duration_s=phase.duration_s,
+                slowdown=factor,
             )
-            clock += duration
-        resolved = [
-            _ResolvedPhase(record=rec, node_means=r.node_means)
-            for rec, r in zip(records, resolved)
+            for phase, start, end, factor in zip(
+                phases, starts.tolist(), ends.tolist(), slowdown.tolist()
+            )
         ]
-        return resolved, records, clock
+        return means, counts, records, float(ends[-1])
 
     def _run_instrumented(
         self, phases: list[MacroPhase], label: str, seed: int
     ) -> RunResult:
         rng = np.random.default_rng(seed)
-        resolved, records, clock = self._resolve_and_layout(phases)
+        means, counts, records, runtime_s = self._resolve_and_layout(phases)
         with obs.span(
-            "engine.render_traces", phases=len(resolved), nodes=len(self.nodes)
+            "engine.render_traces", phases=len(records), nodes=len(self.nodes)
         ) as render_span:
             traces = self._render_traces(
-                resolved, rng, chunk_samples=render_chunk_samples()
+                means, counts, rng, chunk_samples=render_chunk_samples()
             )
-            render_span.annotate(samples=int(traces[0].times.size) if traces else 0)
+            render_span.annotate(samples=int(traces[0].times.size))
         return RunResult(
             label=label,
             traces=traces,
             phases=records,
-            runtime_s=clock,
+            runtime_s=runtime_s,
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
         )
 
@@ -615,23 +508,19 @@ class PowerEngine:
             chunk_samples = render_chunk_samples() or DEFAULT_STREAM_CHUNK
         obs.inc("repro_engine_streams_total")
         rng = np.random.default_rng(seed)
-        resolved, records, clock = self._resolve_and_layout(phases)
-        if resolved:
-            n_samples, counts = self._phase_sample_counts(resolved)
-        else:  # pragma: no cover - guarded by the empty-phase check above
-            n_samples, counts = 0, []
+        means, counts, records, runtime_s = self._resolve_and_layout(phases)
         dt = self.config.base_interval_s
         dtype = trace_dtype()
 
         def generate() -> Iterator[TraceChunk]:
-            for node_index, key, start, values in self._iter_component_chunks(
-                resolved, rng, n_samples, counts, chunk_samples
+            for node_index, row, start, values in self._iter_component_chunks(
+                means, counts, rng, chunk_samples
             ):
                 stop = start + len(values)
                 chunk = TraceChunk(
                     node_name=self.nodes[node_index].name,
                     node_index=node_index,
-                    component=key,
+                    component=COMPONENT_KEYS[row],
                     start_index=start,
                     times=(np.arange(start, stop) + 0.5) * dt,
                     values=values.astype(dtype),
@@ -643,10 +532,10 @@ class PowerEngine:
         return StreamedRun(
             label=label,
             phases=records,
-            runtime_s=clock,
+            runtime_s=runtime_s,
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
             n_nodes=len(self.nodes),
-            n_samples=n_samples,
+            n_samples=int(counts.sum()),
             base_interval_s=dt,
             chunk_samples=chunk_samples,
             chunks=generate(),

@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro import obs
 from repro.obs import merge as obs_merge
 from repro.runner.cache import fingerprint
-from repro.runner.engine import EngineConfig
+from repro.runner.engine import EngineConfig, import_render_modules
 from repro.vasp.workload import VaspWorkload
 
 logger = logging.getLogger(__name__)
@@ -352,6 +352,7 @@ class SweepExecutor:
             return [fn(task) for task in tasks]
         capture = obs_merge.capture_flags()
         chunksize = max(len(tasks) // (workers * 4), 1)
+        import_render_modules()
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 if capture is None:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs
+from repro.capping import fleet
 from repro.capping.fleet import (
     DEFAULT_MIX,
     compare_fleet_policies,
@@ -11,7 +13,7 @@ from repro.capping.fleet import (
 )
 from repro.capping.policy import CapPolicy
 from repro.experiments import system_power
-from repro.runner.engine import EngineConfig
+from repro.runner.engine import EngineConfig, PowerEngine
 
 
 class TestJobStream:
@@ -123,6 +125,44 @@ class TestTracedFleet:
         assert stream.node_power_peak_w == dense.node_power_peak_w
         assert stream.samples_streamed == dense.samples_streamed
         assert stream.chunks_streamed == dense.chunks_streamed
+
+    def test_dense_resident_gauge_counts_every_retained_trace(self, jobs, monkeypatch):
+        """The final gauge is the bins plus every retained trace's bytes."""
+        accumulators = []
+        results = []
+
+        class SpyAccumulator(fleet.SystemPowerAccumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                accumulators.append(self)
+
+        real_run = PowerEngine.run
+
+        def spy_run(engine, *args, **kwargs):
+            results.append(real_run(engine, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fleet, "SystemPowerAccumulator", SpyAccumulator)
+        monkeypatch.setattr(PowerEngine, "run", spy_run)
+        obs.enable(metrics=True)
+        try:
+            simulate_fleet_traced(
+                jobs,
+                CapPolicy.half_tdp(),
+                "capped",
+                n_nodes=8,
+                engine_config=self.ENGINE,
+                seed=7,
+                retain_traces=True,
+            )
+            gauge = obs.metrics().get("repro_fleet_resident_bytes").value()
+        finally:
+            obs.disable()
+        (accumulator,) = accumulators
+        assert len(results) == len(jobs)
+        assert gauge == accumulator.resident_bytes + sum(
+            result.resident_bytes() for result in results
+        )
 
     def test_capping_reduces_peak_and_variability(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=self.ENGINE, seed=7)
