@@ -15,7 +15,7 @@ import tracemalloc
 
 from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
-from repro.runner.engine import EngineConfig
+from repro.runner.engine import EngineConfig, import_render_modules
 
 #: The ISSUE-scale fleet: 200 jobs streamed across a 1000-node pool.
 FLEET_NODES = 1000
@@ -50,6 +50,10 @@ def measure_fleet_memory() -> tuple[FleetTraceReport, FleetTraceReport, int, int
     directly comparable allocated-bytes high-water marks.
     """
     jobs = _fleet_jobs()
+    # The render path imports ``scipy.signal`` on first use; import it
+    # first so neither peak counts a one-time module import, whichever
+    # process or bench order runs this.
+    import_render_modules()
     tracemalloc.start()
     stream = _run(jobs)
     _, stream_peak = tracemalloc.get_traced_memory()

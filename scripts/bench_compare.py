@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -90,12 +91,22 @@ def collect_efficiency() -> dict[str, float | int]:
     _sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.capping.scheduler import estimate_cache
     from repro.experiments import fig12_cap_performance
-    from repro.runner.sweep import reset_sweep_stats, sweep_stats
+    from repro.runner.sweep import WORKERS_ENV, reset_sweep_stats, sweep_stats
 
-    estimate_cache().clear()
-    reset_sweep_stats()
-    fig12_cap_performance.run()
-    fig12_cap_performance.run()
+    # The baseline counts cache hits in this process, as serial sweeps
+    # make them; a process pool would land them in its workers.
+    previous = os.environ.get(WORKERS_ENV)
+    os.environ[WORKERS_ENV] = "1"
+    try:
+        estimate_cache().clear()
+        reset_sweep_stats()
+        fig12_cap_performance.run()
+        fig12_cap_performance.run()
+    finally:
+        if previous is None:
+            del os.environ[WORKERS_ENV]
+        else:
+            os.environ[WORKERS_ENV] = previous
     sweeps = sweep_stats()
     cache = estimate_cache().stats()
     return {

@@ -48,6 +48,26 @@ assert result["correct"] is True and result["failed"] == 0, (
 print(f"golden ok: {result['attempted']} operations match perfbench/golden.json")
 PY
 
+echo "== traced perfbench smoke (layer self-checks, one phase build per key) =="
+# The traced run checks its span coverage and wrapped-call counts against
+# independent counts; every (workload, width) phase list must be built
+# exactly once per fleet comparison.
+TRACED_RESULT="$(python3 perfbench/run.py --workload fleet-vasp --seed 0 \
+    --seconds 1 --trace 1 | tail -n 1)"
+python - "$TRACED_RESULT" <<'PY'
+import json, sys
+
+result = json.loads(sys.argv[1])
+assert result["correct"] is True and result["failed"] == 0, (
+    f"traced smoke failed: correct={result['correct']} failed={result['failed']} "
+    f"errors={result.get('errors')}"
+)
+ratio = result["metrics"]["workloads.phase_build_useful_ratio"]["value"]
+builds = result["metrics"]["workloads.phase_build_calls"]["value"]
+assert ratio == 1.0, f"phase lists rebuilt: {builds:.0f} builds, useful ratio {ratio}"
+print(f"traced ok: {builds:.0f} phase builds, one per (workload, width)")
+PY
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 

@@ -61,10 +61,10 @@ from repro.runner.sweep import SweepExecutor
 from repro.runner.trace import RunResult
 from repro.vasp.benchmarks import BENCHMARKS
 from repro.vasp.parallel import layout_for
-from repro.workloads.registry import workload_model_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.monitor.collector import FleetMonitor
+    from repro.vasp.phases import MacroPhase
 
 logger = logging.getLogger(__name__)
 
@@ -257,6 +257,48 @@ class FleetTraceReport:
         return self.power_std_w / self.mean_power_w if self.mean_power_w > 0 else 0.0
 
 
+class FleetPlan:
+    """What one fleet comparison derives once: digests and phase lists.
+
+    A comparison admits, estimates and renders the same few workloads
+    hundreds of times.  The plan canonicalizes each distinct workload
+    instance once (its content digest) and builds each (digest, width)
+    phase list once; admission estimates, every policy's render and the
+    shard tasks' phase keys all read from it.
+
+    A plan lives for one call: one :func:`simulate_fleet_traced`, or one
+    :func:`compare_fleet_policies_traced` for both of its policies.
+    Workloads are mutable dataclasses, so an instance-keyed memo that
+    outlived the call could serve the digest and phases of content that
+    has since changed.
+    """
+
+    def __init__(self) -> None:
+        #: id(workload) -> (workload, digest); holding the instance keeps
+        #: its id from being reused while the plan lives.
+        self._digests: dict[int, tuple[object, str]] = {}
+        self._phases: "dict[tuple[str, int], list[MacroPhase]]" = {}
+
+    def digest(self, workload) -> str:
+        """Content digest of one workload instance."""
+        entry = self._digests.get(id(workload))
+        if entry is None:
+            entry = self._digests[id(workload)] = (workload, fingerprint(workload))
+        return entry[1]
+
+    def phase_key(self, workload, width: int) -> tuple[str, int]:
+        """Content identity of the workload's phase list at ``width`` nodes."""
+        return self.digest(workload), width
+
+    def phase_list(self, workload, width: int) -> "list[MacroPhase]":
+        """The workload's phases at ``width`` nodes, built once per key."""
+        key = self.phase_key(workload, width)
+        phases = self._phases.get(key)
+        if phases is None:
+            phases = self._phases[key] = workload.phases(layout_for(workload, width))
+        return phases
+
+
 def _job_seed(job_id: str, seed: int) -> int:
     """Stable per-job render seed (crc32: PYTHONHASHSEED-independent)."""
     return (zlib.crc32(job_id.encode("utf-8")) ^ seed) & 0x7FFFFFFF
@@ -297,6 +339,11 @@ def simulate_fleet_traced(
     chronological job order through one shared fold (accumulator bins,
     node moments, busy intervals, monitor state) — which is why the modes
     below are bit-identical to each other.
+
+    Admission, the render and the shard tasks read each workload's
+    digest and phase lists from one :class:`FleetPlan`, built for this
+    call (:func:`compare_fleet_policies_traced` shares one between its
+    two policies).
 
     ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
     across worker processes (:func:`repro.capping.shard.run_sharded`):
@@ -354,6 +401,58 @@ def simulate_fleet_traced(
     bench compares against.  Monitored runs always materialize the pool
     (the monitor surveys every node's idle band).
     """
+    return _simulate_fleet_traced(
+        FleetPlan(),
+        jobs,
+        policy,
+        policy_name,
+        n_nodes,
+        power_budget_w,
+        bin_s=bin_s,
+        chunk_samples=chunk_samples,
+        engine_config=engine_config,
+        seed=seed,
+        retain_traces=retain_traces,
+        monitor=monitor,
+        platform=platform,
+        node_platforms=node_platforms,
+        workers=workers,
+        eager_pool=eager_pool,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+        heartbeat=heartbeat,
+        heartbeat_interval_s=heartbeat_interval_s,
+        progress=progress,
+    )
+
+
+def _simulate_fleet_traced(
+    plan: FleetPlan,
+    jobs: list[Job],
+    policy: CapPolicy,
+    policy_name: str,
+    n_nodes: int,
+    power_budget_w: float | None,
+    *,
+    bin_s: float,
+    chunk_samples: int | None,
+    engine_config: EngineConfig | None,
+    seed: int,
+    retain_traces: bool,
+    monitor: "FleetMonitor | None",
+    platform: "str | Platform | None",
+    node_platforms: "list[str | Platform | NodeSpec] | None",
+    workers: int | None,
+    eager_pool: bool,
+    checkpoint: "str | Path | None",
+    checkpoint_every: int,
+    resume: bool,
+    heartbeat: "str | Path | None",
+    heartbeat_interval_s: float,
+    progress: "Callable[[HeartbeatSnapshot], None] | None",
+) -> FleetTraceReport:
+    """:func:`simulate_fleet_traced` over the caller's :class:`FleetPlan`."""
     if monitor is not None and retain_traces:
         raise ValueError(
             "monitor= requires the streaming path; retain_traces=True "
@@ -416,7 +515,7 @@ def simulate_fleet_traced(
         platform=platform,
     )
     with obs.span("fleet.schedule_traced", policy=policy_name, jobs=len(jobs)):
-        schedule = PowerAwareScheduler(config).schedule(list(jobs))
+        schedule = PowerAwareScheduler(config).schedule(list(jobs), plan)
     workloads = {job.job_id: job.workload for job in jobs}
     if monitor is not None or eager_pool:
         # The monitor surveys every node's idle band up front; eager_pool
@@ -437,14 +536,6 @@ def simulate_fleet_traced(
     retained_bytes = 0
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
-    #: Jobs of the same benchmark at the same width share a phase list;
-    #: building one is ~25 ms of SCF modelling, so memoize by content.
-    phase_cache: dict[str, list] = {}
-    #: Uncapped runtime per (workload, width) for the monitor's slowdown
-    #: accounting.  cached_estimate_run is itself memoized, but its key
-    #: canonicalizes the whole workload (~1 ms/call) — at one call per
-    #: job start that alone would cost the monitor its overhead budget.
-    nominal_cache: dict[str, float] = {}
 
     # ---- plan: replay allocations, binding each job to node *names* ----
     # No nodes are built here; workers (or the serial renderer) construct
@@ -469,14 +560,10 @@ def simulate_fleet_traced(
         workload = workloads[record.job_id]
         nominal_s = None
         if monitor is not None:
-            phase_key = fingerprint(
-                "fleet_phases", workload_model_id(workload), workload, record.n_nodes
-            )
-            nominal_s = nominal_cache.get(phase_key)
-            if nominal_s is None:
-                nominal_s = nominal_cache[phase_key] = cached_estimate_run(
-                    workload, record.n_nodes, None, platform
-                ).runtime_s
+            # Uncapped runtime for the monitor's slowdown accounting.
+            nominal_s = cached_estimate_run(
+                workload, record.n_nodes, None, platform, plan
+            ).runtime_s
         tasks.append(
             shard.ShardJobTask(
                 index=index,
@@ -488,6 +575,7 @@ def simulate_fleet_traced(
                 node_names=tuple(names),
                 spec_indices=tuple(indices),
                 workload=workload,
+                phase_key=plan.phase_key(workload, record.n_nodes),
                 seed=_job_seed(record.job_id, seed),
                 nominal_runtime_s=nominal_s,
             )
@@ -589,16 +677,6 @@ def simulate_fleet_traced(
         if beat is not None:
             beat.update(jobs_done, nodes_folded)
 
-    def phases_for(workload, width: int):
-        phase_key = fingerprint(
-            "fleet_phases", workload_model_id(workload), workload, width
-        )
-        phases = phase_cache.get(phase_key)
-        if phases is None:
-            parallel = layout_for(workload, width)
-            phases = phase_cache[phase_key] = workload.phases(parallel)
-        return phases
-
     def run_serial(serial_tasks: "list[shard.ShardJobTask]") -> None:
         for task in serial_tasks:
             nodes = [pool.nodes[name] for name in task.node_names]
@@ -606,7 +684,7 @@ def simulate_fleet_traced(
                 # A mixed pool may contain GPUs whose supported cap range
                 # does not include the policy's cap; clamp per node.
                 node.set_gpu_power_limit(shard.clamped_cap_w(task.cap_w, node.spec))
-            phases = phases_for(task.workload, task.n_nodes)
+            phases = plan.phase_list(task.workload, task.n_nodes)
             tap_factories: tuple = ()
             if monitor is not None:
                 monitor.on_job_start(
@@ -655,7 +733,7 @@ def simulate_fleet_traced(
                     )
                 engine = PowerEngine(nodes, engine_config)
                 result = engine.run(
-                    phases_for(task.workload, task.n_nodes),
+                    plan.phase_list(task.workload, task.n_nodes),
                     label=task.job_id,
                     seed=task.seed,
                 )
@@ -811,7 +889,13 @@ def compare_fleet_policies_traced(
     if scenario is not None:
         from repro.capping.scenarios import get_scenario
 
-        scenario = get_scenario(scenario)
+        jobs = get_scenario(scenario).build_jobs(seed=seed)
+    else:
+        jobs = job_stream(n_jobs=n_jobs, seed=seed)
+    # Both policies replay the same stream, so they share one plan: each
+    # workload is digested, and each (workload, width) phase list built,
+    # once for the whole comparison.
+    plan = FleetPlan()
     reports = []
     for index, (capped, policy_name, suffix) in enumerate(
         ((True, "50% TDP policy", ".capped"), (False, "uncapped", ".uncapped"))
@@ -819,13 +903,9 @@ def compare_fleet_policies_traced(
         policy = (
             CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
         )
-        jobs = (
-            scenario.build_jobs(seed=seed)
-            if scenario is not None
-            else job_stream(n_jobs=n_jobs, seed=seed)
-        )
         reports.append(
-            simulate_fleet_traced(
+            _simulate_fleet_traced(
+                plan,
                 jobs,
                 policy,
                 policy_name,
@@ -840,6 +920,7 @@ def compare_fleet_policies_traced(
                 platform=platform,
                 node_platforms=node_platforms,
                 workers=workers,
+                eager_pool=False,
                 checkpoint=(
                     base.with_name(base.name + suffix) if base is not None else None
                 ),

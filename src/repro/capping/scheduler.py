@@ -33,7 +33,9 @@ from repro.vasp.workload import VaspWorkload
 from repro.capping.policy import CapPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.capping.fleet import FleetPlan
     from repro.prediction.model import TwoStageSurrogate
+    from repro.vasp.phases import MacroPhase
 
 #: Non-GPU node power while a VASP job runs (CPU + DDR + NICs + board at
 #: typical activity) on the default a100-40g platform.  Kept as a module
@@ -64,13 +66,16 @@ def estimate_run(
     n_nodes: int,
     cap_w: float | None = None,
     platform: "str | Platform | None" = None,
+    *,
+    phases: "list[MacroPhase] | None" = None,
 ) -> RunEstimate:
     """Estimate runtime and node power for a job under a GPU power cap.
 
     Uses a nominal (variation-free) GPU so estimates are deterministic —
     this is what a scheduler could precompute per workload class.  The
     GPU model, GPU count and host power come from ``platform`` (None
-    means the registry default, a100-40g).
+    means the registry default, a100-40g).  ``phases`` supplies the
+    workload's already-built phase list at ``n_nodes``; None builds it.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -82,8 +87,8 @@ def estimate_run(
     )
     if cap_w is not None:
         gpu.set_power_limit(cap_w)
-    parallel = layout_for(workload, n_nodes)
-    phases = workload.phases(parallel)
+    if phases is None:
+        phases = workload.phases(layout_for(workload, n_nodes))
     total_time = 0.0
     total_energy = 0.0
     peak = 0.0
@@ -129,23 +134,32 @@ def cached_estimate_run(
     n_nodes: int,
     cap_w: float | None = None,
     platform: "str | Platform | None" = None,
+    plan: "FleetPlan | None" = None,
 ) -> RunEstimate:
     """Content-keyed memoization of :func:`estimate_run`.
 
     The estimator is deterministic (nominal GPU, no sampling), so the
-    result is fully identified by the workload fingerprint, node count,
-    cap and platform id — estimates for different platforms never
-    collide.  ``REPRO_CACHE=0`` bypasses the cache.
+    result is fully identified by the workload's content digest, node
+    count, cap and platform id — estimates for different platforms never
+    collide.  ``plan`` (a call-scoped :class:`repro.capping.fleet.
+    FleetPlan`) supplies the digest and, on a miss, the phase list it
+    already holds; without one both are derived here.  Either way the
+    key is the same, so planned and standalone lookups share entries.
+    ``REPRO_CACHE=0`` bypasses the cache.
     """
-    if caching_disabled():
-        return estimate_run(workload, n_nodes, cap_w, platform)
     plat = get_platform(platform)
+
+    def compute() -> RunEstimate:
+        phases = plan.phase_list(workload, n_nodes) if plan is not None else None
+        return estimate_run(workload, n_nodes, cap_w, plat, phases=phases)
+
+    if caching_disabled():
+        return compute()
+    digest = plan.digest(workload) if plan is not None else fingerprint(workload)
     key = fingerprint(
-        "estimate_run", workload_model_id(workload), workload, n_nodes, cap_w, plat.id
+        "estimate_run", workload_model_id(workload), digest, n_nodes, cap_w, plat.id
     )
-    return _ESTIMATE_CACHE.get_or_compute(
-        key, lambda: estimate_run(workload, n_nodes, cap_w, plat)
-    )
+    return _ESTIMATE_CACHE.get_or_compute(key, compute)
 
 
 @dataclass
@@ -260,6 +274,7 @@ class PowerAwareScheduler:
         n_nodes: int,
         cap_w: float | None,
         plat: Platform,
+        plan: "FleetPlan | None",
     ) -> RunEstimate:
         """Admission estimate: surrogate fast path, analytic fallback.
 
@@ -273,7 +288,10 @@ class PowerAwareScheduler:
             from repro.prediction.store import surrogate_disabled
 
             if not surrogate_disabled():
-                key = (fingerprint(workload), n_nodes, cap_w)
+                digest = (
+                    plan.digest(workload) if plan is not None else fingerprint(workload)
+                )
+                key = (digest, n_nodes, cap_w)
                 if key not in self._admission_memo:
                     prediction = surrogate.predict(workload, n_nodes, cap_w, plat.id)
                     # Out-of-envelope memoizes as None so the fallback
@@ -291,18 +309,23 @@ class PowerAwareScheduler:
                 estimate = self._admission_memo[key]
                 if estimate is not None:
                     return estimate
-        return cached_estimate_run(workload, n_nodes, cap_w, plat)
+        return cached_estimate_run(workload, n_nodes, cap_w, plat, plan)
 
-    def schedule(self, jobs: list[Job]) -> ScheduleResult:
+    def schedule(
+        self, jobs: list[Job], plan: "FleetPlan | None" = None
+    ) -> ScheduleResult:
         """Run the full schedule for a job list.
 
         Jobs are considered FCFS in submit order; a job that does not fit
         (nodes or power) blocks only itself — later jobs may backfill.
+        ``plan`` is the caller's call-scoped
+        :class:`repro.capping.fleet.FleetPlan`: admission estimates then
+        reuse its workload digests and phase lists.
         """
         with obs.span(
             "scheduler.schedule", jobs=len(jobs), n_nodes=self.config.n_nodes
         ) as sched_span:
-            result = self._schedule_inner(jobs)
+            result = self._schedule_inner(jobs, plan)
             sched_span.annotate(
                 makespan_s=result.makespan_s, cycles=len(result.power_timeline)
             )
@@ -317,7 +340,9 @@ class PowerAwareScheduler:
         )
         return result
 
-    def _schedule_inner(self, jobs: list[Job]) -> ScheduleResult:
+    def _schedule_inner(
+        self, jobs: list[Job], plan: "FleetPlan | None"
+    ) -> ScheduleResult:
         cfg = self.config
         plat = get_platform(cfg.platform)
         idle_node_w = plat.node.idle_node_w
@@ -352,7 +377,7 @@ class PowerAwareScheduler:
                     )
                 cap = cfg.policy.cap_for(job.workload)
                 estimate = self._admission_estimate(
-                    job.workload, job.n_nodes, cap, plat
+                    job.workload, job.n_nodes, cap, plat, plan
                 )
                 idle_after = free_nodes - job.n_nodes
                 projected = (

@@ -48,7 +48,6 @@ from repro.runner.cache import atomic_write_pickle, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine, import_render_modules
 from repro.runner.sweep import workers_from_env
 from repro.vasp.parallel import layout_for
-from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -101,6 +100,9 @@ class ShardJobTask:
     #: Per-node indices into the shard's spec table.
     spec_indices: tuple[int, ...]
     workload: VaspWorkload
+    #: (workload content digest, width): the coordinator's plan key for
+    #: this job's phase list, so workers never re-digest the workload.
+    phase_key: tuple[str, int]
     #: Content-derived render seed (crc32 of the job id ^ run seed).
     seed: int
     #: Uncapped runtime estimate (monitored runs only).
@@ -225,8 +227,9 @@ def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
 #: Worker-process-global phase memo: batched submission sends several
 #: small batches to the same worker process, and jobs of one (workload,
 #: width) must not re-run ~25 ms of SCF modelling per batch.  Keyed by
-#: content fingerprint, so it is safe across batches of different runs.
-_WORKER_PHASE_CACHE: dict[str, list] = {}
+#: each task's content-derived ``phase_key``, so it is safe across
+#: batches of different runs.
+_WORKER_PHASE_CACHE: dict[tuple[str, int], list] = {}
 
 
 def _render_shard(task: ShardTask) -> ShardResult:
@@ -264,7 +267,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
 
 
 def _render_task_job(
-    job: ShardJobTask, task: ShardTask, phase_cache: dict[str, list]
+    job: ShardJobTask, task: ShardTask, phase_cache: dict[tuple[str, int], list]
 ) -> JobPartial:
     specs = [task.specs[i] for i in job.spec_indices]
     nodes = [
@@ -272,13 +275,10 @@ def _render_task_job(
     ]
     for node in nodes:
         node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
-    phase_key = fingerprint(
-        "fleet_phases", workload_model_id(job.workload), job.workload, job.n_nodes
-    )
-    phases = phase_cache.get(phase_key)
+    phases = phase_cache.get(job.phase_key)
     if phases is None:
         parallel = layout_for(job.workload, job.n_nodes)
-        phases = phase_cache[phase_key] = job.workload.phases(parallel)
+        phases = phase_cache[job.phase_key] = job.workload.phases(parallel)
     probe = None
     tap_factories: tuple = ()
     if task.monitor_config is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -560,7 +561,7 @@ def _cap_sweep_surrogate(
 
 def _cmd_cap_sweep(args: argparse.Namespace) -> int:
     workload = _resolve_workload_arg(args.benchmark)
-    n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
+    n_nodes = args.nodes if args.nodes is not None else _default_nodes(args.benchmark)
     plat = get_platform(args.platform)
     caps = args.caps
     if caps is None:
@@ -642,7 +643,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     and reports the surrogate-vs-exact errors.
     """
     workload = _resolve_workload_arg(args.benchmark)
-    n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
+    n_nodes = args.nodes if args.nodes is not None else _default_nodes(args.benchmark)
     plat = get_platform(args.platform)
     if surrogate_disabled():
         print(f"surrogate fast path disabled ({SURROGATE_ENV}=0); unset to enable")
@@ -855,7 +856,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     budget = args.watts_per_node * n_nodes if args.watts_per_node else None
     platform, node_platforms = _split_platforms(platform_value)
     engine_config = (
-        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
+        EngineConfig(base_interval_s=args.resolution)
+        if args.resolution is not None
+        else None
     )
     monitors = None
     if args.monitor or monitoring_requested():
@@ -982,7 +985,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     )
     monitor = FleetMonitor(config, label=policy_name)
     engine_config = (
-        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
+        EngineConfig(base_interval_s=args.resolution)
+        if args.resolution is not None
+        else None
     )
     jobs = job_stream(n_jobs=args.jobs, seed=args.seed)
     with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
@@ -1277,9 +1282,36 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad invocation as one ``repro: error: ...`` line (exit 2)."""
+
+    def error(self, message: str):
+        self.exit(2, f"repro: error: {message}\n")
+
+
+def _positive(kind: type):
+    """argparse type for a finite number > 0 of ``kind`` (int or float)."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {noun}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    positive_int = _positive(int)
+    positive_float = _positive(float)
+    parser = _Parser(
         prog="repro",
         description="Reproduction toolkit for 'Understanding VASP Power "
         "Profiles on NVIDIA A100 GPUs' (SC 2024).",
@@ -1356,7 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one benchmark and print power stats", parents=[obs_flags]
     )
     p_run.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_run.add_argument("--nodes", type=int, default=1)
+    p_run.add_argument("--nodes", type=positive_int, default=1)
     p_run.add_argument("--cap", type=float, default=None, help="GPU power cap in W")
     p_run.add_argument("--seed", type=int, default=7)
     p_run.add_argument("--export-trace", default=None, help="write ground truth CSV")
@@ -1374,7 +1406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cap-sweep", help="power-cap response of a benchmark", parents=[obs_flags]
     )
     p_sweep.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_sweep.add_argument("--nodes", type=int, default=None)
+    p_sweep.add_argument("--nodes", type=positive_int, default=None)
     p_sweep.add_argument(
         "--caps",
         type=float,
@@ -1418,7 +1450,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     p_predict.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_predict.add_argument("--nodes", type=int, default=None)
+    p_predict.add_argument("--nodes", type=positive_int, default=None)
     p_predict.add_argument(
         "--cap", type=float, default=None, help="GPU power cap in W"
     )
@@ -1451,13 +1483,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         help="jobs in the stream (default: 24, or the scenario's count)",
     )
     p_fleet.add_argument(
         "--nodes",
-        type=int,
+        type=positive_int,
         default=None,
         help="node pool size (default: 16, or the scenario's pool)",
     )
@@ -1490,7 +1522,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--resolution",
-        type=float,
+        type=positive_float,
         default=1.0,
         metavar="SECONDS",
         help="trace sample interval (coarser = faster; 0.1 matches the paper)",
@@ -1554,8 +1586,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitored fleet run: health signals, alerts, energy report",
         parents=[obs_flags],
     )
-    p_monitor.add_argument("--jobs", type=int, default=24, help="jobs in the stream")
-    p_monitor.add_argument("--nodes", type=int, default=16, help="node pool size")
+    p_monitor.add_argument(
+        "--jobs", type=positive_int, default=24, help="jobs in the stream"
+    )
+    p_monitor.add_argument(
+        "--nodes", type=positive_int, default=16, help="node pool size"
+    )
     p_monitor.add_argument("--seed", type=int, default=0)
     p_monitor.add_argument(
         "--policy",
@@ -1571,7 +1607,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_monitor.add_argument(
         "--resolution",
-        type=float,
+        type=positive_float,
         default=1.0,
         metavar="SECONDS",
         help="trace sample interval (coarser = faster; 0.1 matches the paper)",

@@ -1,5 +1,7 @@
 """Tests for the fleet simulation and system-power study."""
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
@@ -7,13 +9,17 @@ from repro.capping import fleet
 from repro.capping.fleet import (
     DEFAULT_MIX,
     compare_fleet_policies,
+    compare_fleet_policies_traced,
     job_stream,
     simulate_fleet,
     simulate_fleet_traced,
 )
 from repro.capping.policy import CapPolicy
+from repro.capping.scheduler import estimate_cache
 from repro.experiments import system_power
+from repro.runner import cache
 from repro.runner.engine import EngineConfig, PowerEngine
+from repro.vasp.workload import VaspWorkload
 
 
 class TestJobStream:
@@ -197,6 +203,120 @@ class TestTracedFleet:
         assert a.system == b.system
         c = simulate_fleet_traced(jobs, CapPolicy.uncapped(), "u", seed=8, **kwargs)
         assert c.system != a.system
+
+
+class TestFleetPlan:
+    """One comparison digests each workload once and builds each phase
+    list once, shared by admission, both policies and the render."""
+
+    ENGINE = EngineConfig(base_interval_s=1.0)
+    N_JOBS, N_NODES, SEED = 6, 8, 3
+
+    #: (energy_j, mean_power_w, peak_power_w, power_std_w, node_power_mean_w,
+    #: node_power_std_w, samples_streamed, makespan_s) per policy, as
+    #: produced before the plan existed (two independent simulations).
+    BEFORE = {
+        "50% TDP policy": (
+            9467285.558897771, 4714.783644869408, 6653.025451660156,
+            888.8060402523151, 852.2984236273256, 136.05445171709408,
+            5295, 2007.1393581828988,
+        ),
+        "uncapped": (
+            9803592.918760434, 4951.309554929512, 6992.8621826171875,
+            1033.9587973050884, 939.8669761112238, 193.77422924926287,
+            5245, 1979.4830075700615,
+        ),
+    }
+
+    @staticmethod
+    def _summary(report):
+        return (
+            report.system.energy_j,
+            report.system.mean_power_w,
+            report.system.peak_power_w,
+            report.system.power_std_w,
+            report.node_power_mean_w,
+            report.node_power_std_w,
+            report.samples_streamed,
+            report.makespan_s,
+        )
+
+    def _compare(self, workers=None):
+        return compare_fleet_policies_traced(
+            n_jobs=self.N_JOBS,
+            n_nodes=self.N_NODES,
+            seed=self.SEED,
+            engine_config=self.ENGINE,
+            workers=workers,
+        )
+
+    def _counted_compare(self, monkeypatch, workers):
+        """Run one comparison, counting phase builds and workload digests."""
+        streams = []
+        real_stream = fleet.job_stream
+
+        def recording_stream(*args, **kwargs):
+            streams.append(real_stream(*args, **kwargs))
+            return streams[-1]
+
+        builds = []
+        real_phases = VaspWorkload.phases
+
+        def counting_phases(workload, *args, **kwargs):
+            builds.append((id(workload), repr(args), repr(kwargs)))
+            return real_phases(workload, *args, **kwargs)
+
+        digested = Counter()
+        depth = 0
+        real_canonical = cache._canonical
+
+        def counting_canonical(obj):
+            nonlocal depth
+            if depth == 0 and isinstance(obj, VaspWorkload):
+                digested[id(obj)] += 1
+            depth += 1
+            try:
+                return real_canonical(obj)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(fleet, "job_stream", recording_stream)
+        monkeypatch.setattr(VaspWorkload, "phases", counting_phases)
+        monkeypatch.setattr(cache, "_canonical", counting_canonical)
+        # Cold estimates: admission builds each phase list on the first
+        # miss, which is the only coordinator-side build when sharded.
+        estimate_cache().clear()
+        reports = self._compare(workers)
+        monkeypatch.undo()
+        (jobs,) = streams
+        return reports, jobs, builds, digested
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_build_per_key_and_one_digest_per_instance(self, monkeypatch, workers):
+        reports, jobs, builds, digested = self._counted_compare(monkeypatch, workers)
+        keys = {(cache.fingerprint(job.workload), job.n_nodes) for job in jobs}
+        assert len(builds) == len(keys)
+        assert len(set(builds)) == len(builds)
+        instances = {id(job.workload) for job in jobs}
+        assert set(digested) == instances
+        assert set(digested.values()) == {1}
+        assert {r.policy_name: self._summary(r) for r in reports} == self.BEFORE
+
+    def test_matches_independent_policy_simulations(self):
+        """Sharing one stream and plan equals simulating each policy alone."""
+        planned = self._compare()
+        for report, policy in zip(planned, (CapPolicy.half_tdp(), CapPolicy.uncapped())):
+            alone = simulate_fleet_traced(
+                job_stream(n_jobs=self.N_JOBS, seed=self.SEED),
+                policy,
+                report.policy_name,
+                self.N_NODES,
+                engine_config=self.ENGINE,
+                seed=self.SEED,
+            )
+            assert report.system == alone.system
+            assert self._summary(report) == self._summary(alone)
+            assert report.schedule.records == alone.schedule.records
 
 
 class TestSystemPowerExperiment:

@@ -1,18 +1,28 @@
 """Unit tests for the run estimator and the power-aware scheduler."""
 
+import dataclasses
+
 import pytest
 
+from repro.capping.fleet import FleetPlan
 from repro.capping.policy import CapPolicy
 from repro.capping.scheduler import (
     Job,
     PowerAwareScheduler,
     SchedulerConfig,
+    cached_estimate_run,
+    estimate_cache,
     estimate_run,
     half_tdp_cap_w,
     required_cycles,
     scheduling_cycle_s,
 )
+from repro.hardware.gpu import PowerLimitError
+from repro.hardware.platform import get_platform
 from repro.vasp.benchmarks import benchmark
+from repro.vasp.parallel import layout_for
+from repro.workloads import resolve_widths, resolve_workload
+from repro.workloads.registry import workload_refs
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +58,61 @@ class TestEstimateRun:
     def test_validation(self, pdo2):
         with pytest.raises(ValueError):
             estimate_run(pdo2, 0)
+
+
+class TestPlannedEstimates:
+    """A plan's phase list and digest change nothing about an estimate."""
+
+    CAPS = (None, 250.0, 150.0)
+    PLATFORMS = ("a100-40g", "h100-sxm")
+
+    @pytest.mark.parametrize("ref", workload_refs())
+    def test_supplied_phases_match_and_share_the_cache_entry(self, ref):
+        workload = resolve_workload(ref)
+        width = max(resolve_widths(ref))
+        phases = workload.phases(layout_for(workload, width))
+        for platform in self.PLATFORMS:
+            gpu = get_platform(platform).gpu
+            for cap in self.CAPS:
+                if cap is not None and not gpu.cap_min_w <= cap <= gpu.cap_max_w:
+                    for supplied in (None, phases):
+                        with pytest.raises(PowerLimitError):
+                            estimate_run(workload, width, cap, platform, phases=supplied)
+                    continue
+                direct = estimate_run(workload, width, cap, platform)
+                assert estimate_run(workload, width, cap, platform, phases=phases) == direct
+                estimate_cache().clear()
+                planned = cached_estimate_run(workload, width, cap, platform, FleetPlan())
+                standalone = cached_estimate_run(workload, width, cap, platform)
+                assert planned == direct
+                assert standalone is planned
+                stats = estimate_cache().stats()
+                assert (stats.misses, stats.hits) == (1, 1)
+
+    def test_content_equal_instances_share_an_entry(self):
+        a = benchmark("PdO2").build()
+        b = benchmark("PdO2").build()
+        assert a is not b
+        plan = FleetPlan()
+        assert plan.digest(a) == plan.digest(b)
+        estimate_cache().clear()
+        first = cached_estimate_run(a, 2, 200.0, plan=plan)
+        assert cached_estimate_run(b, 2, 200.0, plan=plan) is first
+        assert cached_estimate_run(b, 2, 200.0) is first
+        assert estimate_cache().stats().misses == 1
+
+    def test_one_incar_field_changes_the_entry(self):
+        a = benchmark("PdO2").build()
+        b = dataclasses.replace(a, incar=dataclasses.replace(a.incar, nelm=a.incar.nelm + 1))
+        plan = FleetPlan()
+        assert plan.digest(a) != plan.digest(b)
+        assert plan.phase_key(a, 2) != plan.phase_key(b, 2)
+        estimate_cache().clear()
+        cached_estimate_run(a, 2, 200.0, plan=plan)
+        cached_estimate_run(b, 2, 200.0, plan=plan)
+        cached_estimate_run(b, 2, 200.0)
+        stats = estimate_cache().stats()
+        assert (stats.misses, stats.hits) == (2, 1)
 
 
 class TestSchedulerBasics:

@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from repro.capping import shard
-from repro.capping.fleet import _job_seed, job_stream, simulate_fleet_traced
+from repro.capping.fleet import FleetPlan, _job_seed, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.hardware.platform import get_platform
 from repro.monitor import FleetMonitor, MonitorConfig
@@ -95,6 +95,7 @@ class TestShardedBitIdentity:
 class TestShardPlanning:
     def _tasks(self):
         jobs = _jobs()
+        plan = FleetPlan()
         spec = get_platform(None).node
         tasks = [
             shard.ShardJobTask(
@@ -107,6 +108,7 @@ class TestShardPlanning:
                 node_names=tuple(f"nid{n:06d}" for n in range(job.n_nodes)),
                 spec_indices=(0,) * job.n_nodes,
                 workload=job.workload,
+                phase_key=plan.phase_key(job.workload, job.n_nodes),
                 seed=_job_seed(job.job_id, 7),
             )
             for i, job in enumerate(jobs)
@@ -122,6 +124,7 @@ class TestShardPlanning:
 
     def test_shards_are_chronological_and_deterministic(self):
         jobs = _jobs()
+        plan = FleetPlan()
         spec = get_platform(None).node
         tasks = [
             shard.ShardJobTask(
@@ -134,6 +137,7 @@ class TestShardPlanning:
                 node_names=tuple(f"nid{n:06d}" for n in range(job.n_nodes)),
                 spec_indices=(0,) * job.n_nodes,
                 workload=job.workload,
+                phase_key=plan.phase_key(job.workload, job.n_nodes),
                 seed=_job_seed(job.job_id, 7),
             )
             for i, job in enumerate(jobs)
