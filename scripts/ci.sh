@@ -68,6 +68,25 @@ assert ratio == 1.0, f"phase lists rebuilt: {builds:.0f} builds, useful ratio {r
 print(f"traced ok: {builds:.0f} phase builds, one per (workload, width)")
 PY
 
+echo "== cap-study golden smoke (engine + KDE + surrogate vs perfbench/golden.json) =="
+# One traced cap-study iteration checks every grid point's engine run and
+# high power modes against the pinned golden digests; each SCF iteration
+# recipe is built once per phase list, so phase building stays cheap.
+CAP_RESULT="$(python3 perfbench/run.py --workload cap-study --seed 0 \
+    --seconds 1 --trace 1 | tail -n 1)"
+python - "$CAP_RESULT" <<'PY'
+import json, sys
+
+result = json.loads(sys.argv[1])
+assert result["correct"] is True and result["failed"] == 0, (
+    f"cap-study smoke failed: correct={result['correct']} failed={result['failed']} "
+    f"errors={result.get('errors')}"
+)
+build_s = result["metrics"]["workloads.phase_build_s"]["value"]
+assert build_s < 0.3, f"cap-study phase building took {build_s:.2f} s (limit 0.3 s)"
+print(f"cap-study ok: {result['attempted']} operations, phase build {build_s:.3f} s")
+PY
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 

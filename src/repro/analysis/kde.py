@@ -9,6 +9,8 @@ in the test suite as a cross-check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -92,9 +94,13 @@ class GaussianKDE:
         n = self.data.size
         chunk = max(1, int(4e6 // max(grid.size, 1)))
         for start in range(0, n, chunk):
-            block = self.data[start : start + chunk]
-            z = (grid[:, None] - block[None, :]) / h
-            out += np.exp(-0.5 * z * z).sum(axis=1)
+            # In place, in the operation order of exp(-0.5 * z * z): the
+            # densities stay bit-identical without G x n temporaries per step.
+            z = np.subtract.outer(grid, self.data[start : start + chunk])
+            z /= h
+            kernel = np.multiply(z, -0.5)
+            kernel *= z
+            out += np.exp(kernel, out=kernel).sum(axis=1)
         return out / (n * h * _SQRT_2PI)
 
     __call__ = evaluate
@@ -114,3 +120,17 @@ class GaussianKDE:
         needed = int(np.ceil((hi - lo) / (self.bandwidth / 3.0))) + 1
         n_points = min(max(n_points, needed), 65536)
         return np.linspace(lo, hi, n_points)
+
+
+@dataclass(frozen=True)
+class KdeCurve:
+    """A sample's KDE evaluated once on its natural grid, shared by every reader."""
+
+    grid: np.ndarray
+    density: np.ndarray
+
+    @classmethod
+    def of(cls, data, bandwidth: float | str = "silverman", n_grid: int = 1024) -> "KdeCurve":
+        kde = GaussianKDE(data, bandwidth=bandwidth)
+        grid = kde.grid(n_points=n_grid)
+        return cls(grid, kde.evaluate(grid))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.kde import GaussianKDE
+from repro.analysis.kde import KdeCurve
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,8 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.array(sorted(set(maxima)), dtype=int)
 
 
-def find_modes(
-    data,
-    bandwidth: float | str = "silverman",
-    min_prominence: float = 0.05,
-    n_grid: int = 1024,
-) -> list[Mode]:
-    """Modes of the KDE of a sample, sorted by power (ascending).
+def modes_of(curve: KdeCurve, min_prominence: float = 0.05) -> list[Mode]:
+    """Modes of an evaluated KDE curve, sorted by power (ascending).
 
     ``min_prominence`` filters noise peaks: a mode must rise at least that
     fraction of the global density maximum above the higher of its two
@@ -58,9 +53,7 @@ def find_modes(
     """
     if not 0.0 <= min_prominence <= 1.0:
         raise ValueError(f"min_prominence must be in [0, 1], got {min_prominence}")
-    kde = GaussianKDE(data, bandwidth=bandwidth)
-    grid = kde.grid(n_points=n_grid)
-    density = kde.evaluate(grid)
+    grid, density = curve.grid, curve.density
     peak_indices = _local_maxima(density)
     global_max = float(density.max())
     if global_max <= 0:
@@ -98,22 +91,57 @@ def find_modes(
     return modes
 
 
-def high_power_mode(
-    data,
-    bandwidth: float | str = "silverman",
-    min_prominence: float = 0.05,
-) -> Mode:
-    """The mode at the highest power (the paper's power metric).
+def high_power_mode_of(curve: KdeCurve, min_prominence: float = 0.05) -> Mode:
+    """The mode at the highest power of an evaluated KDE curve.
 
     Raises
     ------
     ValueError
         If no mode passes the prominence filter (degenerate input).
     """
-    modes = find_modes(data, bandwidth=bandwidth, min_prominence=min_prominence)
+    modes = modes_of(curve, min_prominence)
     if not modes:
         raise ValueError("no modes found; input too short or degenerate")
     return modes[-1]
+
+
+def fwhm_of(curve: KdeCurve, mode: Mode) -> float:
+    """Full width at half maximum of ``mode`` on an evaluated KDE curve.
+
+    Walks outward from the mode until the density falls below half the
+    mode's density on each side; the width between the crossings is the
+    FWHM.  For a multi-modal density the walk stops at the first crossing,
+    so the width describes the chosen mode, not the whole distribution.
+    """
+    grid, density = curve.grid, curve.density
+    center = int(np.argmin(np.abs(grid - mode.power_w)))
+    half = density[center] / 2.0
+    left = center
+    while left > 0 and density[left] > half:
+        left -= 1
+    right = center
+    while right < len(grid) - 1 and density[right] > half:
+        right += 1
+    return float(grid[right] - grid[left])
+
+
+def find_modes(
+    data,
+    bandwidth: float | str = "silverman",
+    min_prominence: float = 0.05,
+    n_grid: int = 1024,
+) -> list[Mode]:
+    """Modes of the KDE of a sample (see :func:`modes_of`)."""
+    return modes_of(KdeCurve.of(data, bandwidth, n_grid), min_prominence)
+
+
+def high_power_mode(
+    data,
+    bandwidth: float | str = "silverman",
+    min_prominence: float = 0.05,
+) -> Mode:
+    """The mode at the highest power (the paper's power metric)."""
+    return high_power_mode_of(KdeCurve.of(data, bandwidth), min_prominence)
 
 
 def high_power_mode_w(data, **kwargs) -> float:
@@ -127,24 +155,6 @@ def fwhm(
     bandwidth: float | str = "silverman",
     n_grid: int = 1024,
 ) -> float:
-    """Full width at half maximum of (by default) the high power mode.
-
-    Walks outward from the mode until the density falls below half the
-    mode's density on each side; the width between the crossings is the
-    FWHM.  For a multi-modal density the walk stops at the first crossing,
-    so the width describes the chosen mode, not the whole distribution.
-    """
-    kde = GaussianKDE(data, bandwidth=bandwidth)
-    grid = kde.grid(n_points=n_grid)
-    density = kde.evaluate(grid)
-    if mode is None:
-        mode = high_power_mode(data, bandwidth=bandwidth)
-    center = int(np.argmin(np.abs(grid - mode.power_w)))
-    half = density[center] / 2.0
-    left = center
-    while left > 0 and density[left] > half:
-        left -= 1
-    right = center
-    while right < len(grid) - 1 and density[right] > half:
-        right += 1
-    return float(grid[right] - grid[left])
+    """FWHM of (by default) the high power mode of a sample's KDE."""
+    curve = KdeCurve.of(data, bandwidth, n_grid)
+    return fwhm_of(curve, high_power_mode_of(curve) if mode is None else mode)

@@ -149,37 +149,34 @@ class MilcWorkload:
                 mem_bw_utilization=0.20,
             )
         ]
+        md_step = [
+            MacroPhase(
+                name="cg_solve",
+                duration_s=cg_time,
+                gpu_profile=cg_profile,
+                cpu_utilization=0.06,
+                mem_bw_utilization=0.08,
+                nic_utilization=0.5 if layout.n_nodes > 1 else 0.05,
+            ),
+            MacroPhase(
+                name="gauge_force",
+                duration_s=force_time,
+                gpu_profile=force_profile,
+                cpu_utilization=0.06,
+                mem_bw_utilization=0.06,
+            ),
+        ]
+        measurement = MacroPhase(
+            name="measurement",
+            duration_s=measurement_time,
+            gpu_profile=measurement_profile,
+            cpu_utilization=0.25,
+            mem_bw_utilization=0.15,
+        )
         for trajectory in range(p.trajectories):
-            for _ in range(p.md_steps):
-                phases.append(
-                    MacroPhase(
-                        name="cg_solve",
-                        duration_s=cg_time,
-                        gpu_profile=cg_profile,
-                        cpu_utilization=0.06,
-                        mem_bw_utilization=0.08,
-                        nic_utilization=0.5 if layout.n_nodes > 1 else 0.05,
-                    )
-                )
-                phases.append(
-                    MacroPhase(
-                        name="gauge_force",
-                        duration_s=force_time,
-                        gpu_profile=force_profile,
-                        cpu_utilization=0.06,
-                        mem_bw_utilization=0.06,
-                    )
-                )
+            phases.extend(md_step * p.md_steps)
             if (trajectory + 1) % p.measure_every == 0:
-                phases.append(
-                    MacroPhase(
-                        name="measurement",
-                        duration_s=measurement_time,
-                        gpu_profile=measurement_profile,
-                        cpu_utilization=0.25,
-                        mem_bw_utilization=0.15,
-                    )
-                )
+                phases.append(measurement)
         phases.append(
             MacroPhase(
                 name="finalize",

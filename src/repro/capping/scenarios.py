@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.capping.scheduler import Job
+from repro.errors import RegistryLookupError
 from repro.workloads import resolve_widths, resolve_workload
 
 #: Arrival process kinds a scenario may declare.
@@ -224,7 +225,7 @@ def get_scenario(scenario: "str | FleetScenario") -> FleetScenario:
     try:
         return _SCENARIOS[scenario]
     except KeyError:
-        raise KeyError(
+        raise RegistryLookupError(
             f"unknown scenario {scenario!r}; known: {', '.join(scenario_ids())}"
         ) from None
 

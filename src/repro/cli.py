@@ -86,6 +86,8 @@ from repro.capping.scenarios import get_scenario, scenario_ids
 from repro.capping.shard import CHECKPOINT_ENV, checkpoint_path_from_env
 from repro.capping.scheduler import estimate_cache
 from repro.experiments.common import run_cache, run_workload
+from repro.errors import RegistryLookupError
+from repro.hardware.gpu import check_power_limit
 from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
 from repro.experiments.report import format_table, sparkline
 from repro.io import result_to_json, save_trace_csv
@@ -320,14 +322,6 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_workload_arg(ref: str):
-    """Build the workload a CLI reference names (exit politely if unknown)."""
-    try:
-        return resolve_workload(ref)
-    except KeyError as err:
-        raise SystemExit(f"repro: {err.args[0]}") from None
-
-
 def _default_nodes(ref: str) -> int:
     """Default node count for a reference: top of its healthy range."""
     return max(resolve_widths(ref))
@@ -351,7 +345,7 @@ def _split_platforms(value: str | None) -> tuple[str | None, list[str] | None]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = _resolve_workload_arg(args.benchmark)
+    workload = resolve_workload(args.benchmark)
     measured = run_workload(
         workload,
         n_nodes=args.nodes,
@@ -560,7 +554,7 @@ def _cap_sweep_surrogate(
 
 
 def _cmd_cap_sweep(args: argparse.Namespace) -> int:
-    workload = _resolve_workload_arg(args.benchmark)
+    workload = resolve_workload(args.benchmark)
     n_nodes = args.nodes if args.nodes is not None else _default_nodes(args.benchmark)
     plat = get_platform(args.platform)
     caps = args.caps
@@ -642,9 +636,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     target plus the envelope verdict; ``--exact`` also runs the engine
     and reports the surrogate-vs-exact errors.
     """
-    workload = _resolve_workload_arg(args.benchmark)
+    workload = resolve_workload(args.benchmark)
     n_nodes = args.nodes if args.nodes is not None else _default_nodes(args.benchmark)
     plat = get_platform(args.platform)
+    if args.cap is not None:
+        # Reject an unsupported cap before training the surrogate.
+        check_power_limit(plat.gpu, args.cap)
     if surrogate_disabled():
         print(f"surrogate fast path disabled ({SURROGATE_ENV}=0); unset to enable")
         return 1
@@ -833,10 +830,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     scenario = None
     if args.scenario is not None:
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError as err:
-            raise SystemExit(f"repro: {err.args[0]}") from None
+        scenario = get_scenario(args.scenario)
         if args.jobs is not None:
             print(
                 f"--scenario {scenario.id} fixes its own job count "
@@ -853,7 +847,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     platform_value = args.platform
     if platform_value is None and scenario is not None and scenario.platforms:
         platform_value = ",".join(scenario.platforms)
-    budget = args.watts_per_node * n_nodes if args.watts_per_node else None
+    budget = None if args.watts_per_node is None else args.watts_per_node * n_nodes
     platform, node_platforms = _split_platforms(platform_value)
     engine_config = (
         EngineConfig(base_interval_s=args.resolution)
@@ -973,7 +967,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """One monitored fleet run: health dashboard plus power report."""
-    budget = args.watts_per_node * args.nodes if args.watts_per_node else None
+    budget = None if args.watts_per_node is None else args.watts_per_node * args.nodes
     platform, node_platforms = _split_platforms(args.platform)
     capped = args.policy == "capped"
     policy = CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
@@ -1088,20 +1082,12 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         return 0
     if action in {"show", "last"}:
         ref = "last" if action == "last" else args.ref
-        try:
-            record = ledger.find(ref)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
+        record = ledger.find(ref)
         print(json.dumps(record.to_json(), indent=2, sort_keys=True))
         return 0
     if action == "diff":
-        try:
-            record_a = ledger.find(args.ref_a)
-            record_b = ledger.find(args.ref_b)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
+        record_a = ledger.find(args.ref_a)
+        record_b = ledger.find(args.ref_b)
         changed = run_ledger.diff_records(record_a, record_b)
         print(f"diff {record_a.run_id} -> {record_b.run_id}")
         if not changed:
@@ -1111,11 +1097,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"  {key:36s} {value_a!r} -> {value_b!r}")
         return 0
     # action == "check"
-    try:
-        target = ledger.find(args.ref)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return 2
+    target = ledger.find(args.ref)
     if target.fingerprint is None:
         print(f"run {target.run_id} has no config fingerprint; nothing to check")
         return 0
@@ -1140,11 +1122,7 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
     records = ledger.records()
     action = args.sentinel_command
     if action == "check":
-        try:
-            target = ledger.find(args.ref)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
+        target = ledger.find(args.ref)
         if target.fingerprint is None:
             print(
                 f"run {target.run_id} has no config fingerprint; nothing to check"
@@ -1506,7 +1484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument(
         "--watts-per-node",
-        type=float,
+        type=positive_float,
         default=None,
         help="facility power budget per node (default: unbounded)",
     )
@@ -1601,7 +1579,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_monitor.add_argument(
         "--watts-per-node",
-        type=float,
+        type=positive_float,
         default=None,
         help="facility power budget per node (default: unbounded)",
     )
@@ -1636,7 +1614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sched = sub.add_parser("schedule", help="run the power-aware scheduling study")
     p_sched.add_argument("--nodes", type=int, default=16)
-    p_sched.add_argument("--watts-per-node", type=float, default=900.0)
+    p_sched.add_argument("--watts-per-node", type=positive_float, default=900.0)
     p_sched.add_argument("--copies", type=int, default=2)
     p_sched.set_defaults(func=_cmd_schedule)
 
@@ -1855,6 +1833,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except (ValueError, RegistryLookupError) as err:
+        # Bad input (out-of-range values, PowerLimitError, unknown names)
+        # is one error line; any other exception is a bug and propagates.
+        run_ledger.finish_run("error")
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
     except Exception:
         run_ledger.finish_run("error")
         raise

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.modes import find_modes, fwhm, high_power_mode
+from repro.analysis.kde import KdeCurve
+from repro.analysis.modes import fwhm_of, high_power_mode_of, modes_of
 from repro.experiments.common import make_nodes, run_workload
 from repro.experiments.report import format_table
 from repro.telemetry.downsample import downsample_series
@@ -63,8 +64,9 @@ def run(seed: int = 7, min_prominence: float = 0.04) -> Fig02Result:
     lo, hi = MID_MODE_WINDOW_W
     for rate in SAMPLING_RATES_S:
         _, values = downsample_series(times, series, rate)
-        mode = high_power_mode(values, min_prominence=min_prominence)
-        modes = find_modes(values, min_prominence=min_prominence)
+        curve = KdeCurve.of(values)
+        mode = high_power_mode_of(curve, min_prominence)
+        modes = modes_of(curve, min_prominence)
         points.append(
             RatePoint(
                 rate_s=rate,
@@ -72,7 +74,7 @@ def run(seed: int = 7, min_prominence: float = 0.04) -> Fig02Result:
                 median_w=float(np.median(values)),
                 min_w=float(np.min(values)),
                 high_power_mode_w=mode.power_w,
-                fwhm_w=fwhm(values, mode=mode),
+                fwhm_w=fwhm_of(curve, mode),
                 n_modes=len(modes),
                 mid_mode_detected=any(lo <= m.power_w <= hi for m in modes),
             )

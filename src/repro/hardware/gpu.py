@@ -58,6 +58,15 @@ class PowerLimitError(ValueError):
     """Raised when a requested power limit is outside the supported range."""
 
 
+def check_power_limit(spec, watts: float) -> None:
+    """Raise :class:`PowerLimitError` unless ``spec`` (a GPU envelope) supports ``watts``."""
+    if not (spec.cap_min_w <= watts <= spec.cap_max_w):
+        raise PowerLimitError(
+            f"{spec.name}: power limit {watts:.0f} W outside supported "
+            f"range [{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
+        )
+
+
 @dataclass
 class GpuModel:
     """One GPU board with a settable power limit.
@@ -116,11 +125,7 @@ class GpuModel:
         PowerLimitError
             If ``watts`` is outside the board's supported cap range.
         """
-        if not (self.spec.cap_min_w <= watts <= self.spec.cap_max_w):
-            raise PowerLimitError(
-                f"{self.spec.name}: power limit {watts:.0f} W outside supported "
-                f"range [{self.spec.cap_min_w:.0f}, {self.spec.cap_max_w:.0f}] W"
-            )
+        check_power_limit(self.spec, watts)
         self._power_limit_w = float(watts)
 
     def reset_power_limit(self) -> None:

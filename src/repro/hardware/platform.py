@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.errors import RegistryLookupError
 from repro.units.constants import (
     A100_40GB,
     CPU_MILAN,
@@ -215,7 +216,7 @@ def get_platform(platform: "str | Platform | None" = None) -> Platform:
         return _REGISTRY[platform]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(
+        raise RegistryLookupError(
             f"unknown platform {platform!r}; registered: {known}"
         ) from None
 

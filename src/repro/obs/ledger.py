@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.errors import RegistryLookupError
 
 logger = logging.getLogger(__name__)
 
@@ -246,20 +247,20 @@ class RunLedger:
 
         Raises
         ------
-        KeyError
+        RegistryLookupError
             If nothing matches, or the prefix is ambiguous.
         """
         records = self.records()
         if not records:
-            raise KeyError("run ledger is empty")
+            raise RegistryLookupError("run ledger is empty")
         if ref == "last":
             return records[-1]
         matches = [r for r in records if r.run_id.startswith(ref)]
         if not matches:
-            raise KeyError(f"no run matches {ref!r}")
+            raise RegistryLookupError(f"no run matches {ref!r}")
         if len({r.run_id for r in matches}) > 1:
             ids = ", ".join(sorted({r.run_id for r in matches})[:5])
-            raise KeyError(f"run id prefix {ref!r} is ambiguous ({ids})")
+            raise RegistryLookupError(f"run id prefix {ref!r} is ambiguous ({ids})")
         return matches[-1]
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.modes import fwhm, high_power_mode
+from repro.analysis.kde import KdeCurve
+from repro.analysis.modes import fwhm_of, high_power_mode_of
 
 #: Names of the profile-feature entries, in order.
 PROFILE_FEATURE_NAMES: tuple[str, ...] = (
@@ -36,8 +37,9 @@ def profile_features(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 8:
         raise ValueError(f"need at least 8 samples, got {values.size}")
-    mode = high_power_mode(values)
-    width = fwhm(values, mode=mode)
+    curve = KdeCurve.of(values)
+    mode = high_power_mode_of(curve)
+    width = fwhm_of(curve, mode)
     dwell = float(np.mean(np.abs(values - mode.power_w) <= max(width, 1e-9)))
     return np.array(
         [

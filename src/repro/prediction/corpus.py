@@ -94,7 +94,7 @@ class CorpusSpec:
             seed=self.seed,
             platform=self.platform_id,
         )
-        node_power = measured.telemetry[0].node_power
+        profile = profile_features(measured.telemetry[0].node_power)
         gpu = get_platform(self.platform_id).gpu
         runtime = measured.runtime_s
         mean_node_w = measured.result.total_energy_j() / (self.n_nodes * runtime)
@@ -106,8 +106,8 @@ class CorpusSpec:
             input_features=surrogate_feature_vector(
                 self.workload, self.n_nodes, self.cap_w, self.platform_id
             ),
-            profile=profile_features(node_power),
-            hpm_w=high_power_mode_w(node_power),
+            profile=profile,
+            hpm_w=float(profile[0]),  # the profile leads with the high power mode
             mean_node_power_w=mean_node_w,
             runtime_s=runtime,
             energy_per_node_j=runtime * mean_node_w,

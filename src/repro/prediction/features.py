@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from repro.hardware.gpu import check_power_limit
 from repro.hardware.platform import Platform, get_platform
 from repro.vasp.methods import Functional
 from repro.vasp.parallel import layout_for
@@ -188,19 +189,15 @@ def surrogate_feature_vector(
     * platform spec terms (log GPU TDP, log HBM bandwidth, log FP64
       ceiling, host power over node TDP) so one model spans platforms.
 
-    ``cap_w`` is validated against the platform's cap range the same way
-    the hardware layer validates ``set_power_limit``.
+    ``cap_w`` is validated against the platform's cap range by the check
+    ``set_power_limit`` uses.
     """
     spec = get_platform(platform).node
     gpu = spec.gpu
     if cap_w is None:
         cap = gpu.tdp_w
     else:
-        if not (gpu.cap_min_w <= cap_w <= gpu.cap_max_w):
-            raise ValueError(
-                f"cap {cap_w:.0f} W outside {gpu.name} range "
-                f"[{gpu.cap_min_w:.0f}, {gpu.cap_max_w:.0f}] W"
-            )
+        check_power_limit(gpu, cap_w)
         cap = cap_w
     depth = (gpu.cap_max_w - cap) / (gpu.cap_max_w - gpu.cap_min_w)
     base = feature_vector(workload, n_nodes)

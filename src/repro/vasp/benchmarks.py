@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import RegistryLookupError
 from repro.vasp.incar import Incar
 from repro.vasp.kpoints import KpointMesh
 from repro.vasp.methods import Algorithm, Functional, FIG9_METHODS
@@ -279,7 +280,7 @@ def benchmark(name: str) -> BenchmarkCase:
     try:
         return BENCHMARKS[name]
     except KeyError:
-        raise KeyError(
+        raise RegistryLookupError(
             f"unknown benchmark {name!r}; known: {', '.join(BENCHMARKS)}"
         ) from None
 

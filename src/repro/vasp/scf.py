@@ -382,6 +382,18 @@ class ScfPhaseBuilder:
             mem_bw_utilization=mem_bw_utilization,
         )
 
+    def _fft_phase(self, passes: float, name: str = "orbital_update_fft") -> MacroPhase:
+        """The batched-FFT orbital work of ``passes`` passes per band."""
+        fft_flops, fft_bytes = self._fft_volume(passes)
+        return self._gpu_phase(
+            name,
+            KernelCatalogue.FFT_BATCHED,
+            self.costs.batch_fft,
+            fft_flops,
+            fft_bytes,
+            time_efficiency=self._fft_time_efficiency(),
+        )
+
     def _comm_time_per_iter(self) -> float:
         """NCCL time per SCF iteration (density + subspace collectives)."""
         spec, costs = self.spec, self.costs
@@ -442,21 +454,28 @@ class ScfPhaseBuilder:
             )
         return blended
 
+    def _iteration_comm_split(self) -> tuple[float, float]:
+        """Per-iteration comm + host overhead: (blended into compute, separate)."""
+        costs = self.costs
+        comm_s = self._comm_time_per_iter()
+        overhead_s = costs.iter_host_overhead_s
+        blended = (
+            comm_s * costs.interleaved_comm_fraction
+            + overhead_s * costs.interleaved_overhead_fraction
+        )
+        separate = (
+            comm_s * (1.0 - costs.interleaved_comm_fraction)
+            + overhead_s * (1.0 - costs.interleaved_overhead_fraction)
+        )
+        return blended, separate
+
     # -- per-iteration recipes ---------------------------------------------
     def _dft_iteration(self, algo: Algorithm) -> list[MacroPhase]:
         costs = self.costs
-        fft_flops, fft_bytes = self._fft_volume(costs.fft_passes_for(algo))
         proj_flops, proj_bytes = self._projector_volume()
         sub_flops, sub_bytes = self._subspace_volume(costs.subspace_scale_for(algo))
         phases = [
-            self._gpu_phase(
-                "orbital_update_fft",
-                KernelCatalogue.FFT_BATCHED,
-                costs.batch_fft,
-                fft_flops,
-                fft_bytes,
-                time_efficiency=self._fft_time_efficiency(),
-            ),
+            self._fft_phase(costs.fft_passes_for(algo)),
             self._gpu_phase(
                 "projector",
                 KernelCatalogue.PROJECTOR,
@@ -479,16 +498,7 @@ class ScfPhaseBuilder:
                 occupancy_override=self._subspace_occupancy(),
             ),
         ]
-        comm_s = self._comm_time_per_iter()
-        overhead_s = costs.iter_host_overhead_s
-        blended = (
-            comm_s * costs.interleaved_comm_fraction
-            + overhead_s * costs.interleaved_overhead_fraction
-        )
-        separate = (
-            comm_s * (1.0 - costs.interleaved_comm_fraction)
-            + overhead_s * (1.0 - costs.interleaved_overhead_fraction)
-        )
+        blended, separate = self._iteration_comm_split()
         phases = self._blend_comm(phases, blended)
         phases.append(self._comm_phase(separate))
         return phases
@@ -496,7 +506,6 @@ class ScfPhaseBuilder:
     def _hse_iteration(self) -> list[MacroPhase]:
         costs = self.costs
         exx_flops, exx_bytes = self._exchange_volume()
-        fft_flops, fft_bytes = self._fft_volume(costs.fft_passes_for(self.spec.algo))
         sub_flops, sub_bytes = self._subspace_volume(
             costs.subspace_scale_for(self.spec.algo)
         )
@@ -517,14 +526,7 @@ class ScfPhaseBuilder:
                 * self._occupancy(costs.batch_exchange)
                 ** costs.exchange_eff_size_power,
             ),
-            self._gpu_phase(
-                "orbital_update_fft",
-                KernelCatalogue.FFT_BATCHED,
-                costs.batch_fft,
-                fft_flops,
-                fft_bytes,
-                time_efficiency=self._fft_time_efficiency(),
-            ),
+            self._fft_phase(costs.fft_passes_for(self.spec.algo)),
             self._gpu_phase(
                 "subspace_diag",
                 KernelCatalogue.SUBSPACE,
@@ -535,16 +537,7 @@ class ScfPhaseBuilder:
                 occupancy_override=self._subspace_occupancy(),
             ),
         ]
-        comm_s = self._comm_time_per_iter()
-        overhead_s = costs.iter_host_overhead_s
-        blended = (
-            comm_s * costs.interleaved_comm_fraction
-            + overhead_s * costs.interleaved_overhead_fraction
-        )
-        separate = (
-            comm_s * (1.0 - costs.interleaved_comm_fraction)
-            + overhead_s * (1.0 - costs.interleaved_overhead_fraction)
-        )
+        blended, separate = self._iteration_comm_split()
         phases = self._blend_comm(phases, blended)
         phases.append(
             MacroPhase(
@@ -565,8 +558,7 @@ class ScfPhaseBuilder:
         phases: list[MacroPhase] = []
         # 1. DFT ground state (Davidson), a reduced NELM.
         gs_iters = max(8, spec.nelm // 2)
-        for _ in range(gs_iters):
-            phases.extend(self._dft_iteration(Algorithm.NORMAL))
+        phases.extend(self._dft_iteration(Algorithm.NORMAL) * gs_iters)
         # 2. Exact diagonalization on the host (not GPU-ported in 6.4.1).
         n_exact = spec.nbandsexact if spec.nbandsexact is not None else spec.nbands * 8
         diag_flops = costs.host_diag_flops_scale * float(n_exact) ** 3
@@ -582,7 +574,6 @@ class ScfPhaseBuilder:
         )
         # 3. RPA polarizability: frequency-point sweeps of huge GEMMs
         #    alternating with FFT reconstructions.
-        pw_sphere = spec.nplwv / 8.0
         chi_profile = GpuKernelProfile(
             name="rpa_chi0_gemm",
             compute_utilization=0.95,
@@ -590,38 +581,25 @@ class ScfPhaseBuilder:
             compute_fraction=0.60,
         )
         per_pair = 5.0 * spec.nplwv * math.log2(max(spec.nplwv, 2))
-        for _ in range(costs.rpa_freq_points):
-            chi_flops = (
-                costs.rpa_pair_scale
-                * spec.n_occupied
-                * float(n_exact)
-                * per_pair
-                / self.ranks_per_kgroup
-            )
-            phases.append(
-                self._gpu_phase(
-                    "rpa_chi0_gemm",
-                    chi_profile,
-                    costs.batch_rpa,
-                    chi_flops,
-                    chi_flops / 40.0,
-                    duty=costs.duty_exchange,
-                    time_efficiency=costs.time_eff_rpa_fft,
-                    cpu_utilization=0.12,
-                )
-            )
-            fft_flops, fft_bytes = self._fft_volume(2.0)
-            phases.append(
-                self._gpu_phase(
-                    "rpa_fft",
-                    KernelCatalogue.FFT_BATCHED,
-                    costs.batch_fft,
-                    fft_flops,
-                    fft_bytes,
-                    time_efficiency=self._fft_time_efficiency(),
-                )
-            )
-            phases.append(self._comm_phase(self._comm_time_per_iter() + 3.0, "rpa_comm"))
+        chi_flops = (
+            costs.rpa_pair_scale * spec.n_occupied * float(n_exact) * per_pair
+            / self.ranks_per_kgroup
+        )
+        freq_point = [
+            self._gpu_phase(
+                "rpa_chi0_gemm",
+                chi_profile,
+                costs.batch_rpa,
+                chi_flops,
+                chi_flops / 40.0,
+                duty=costs.duty_exchange,
+                time_efficiency=costs.time_eff_rpa_fft,
+                cpu_utilization=0.12,
+            ),
+            self._fft_phase(2.0, "rpa_fft"),
+            self._comm_phase(self._comm_time_per_iter() + 3.0, "rpa_comm"),
+        ]
+        phases.extend(freq_point * costs.rpa_freq_points)
         return phases
 
     def _vdw_phase(self) -> MacroPhase:
@@ -652,21 +630,19 @@ class ScfPhaseBuilder:
         if spec.algo is Algorithm.ACFDTR:
             phases.extend(self._acfdtr_phases())
         elif spec.functional is Functional.HSE:
-            for _ in range(spec.nelm):
-                phases.extend(self._hse_iteration())
+            phases.extend(self._hse_iteration() * spec.nelm)
         elif spec.algo is Algorithm.FAST:
             # Blocked Davidson for the initial (delay) iterations, then RMM.
-            n_davidson = max(spec.nelmdl, 5)
-            for _ in range(min(n_davidson, spec.nelm)):
-                phases.extend(self._dft_iteration(Algorithm.NORMAL))
-            for _ in range(max(spec.nelm - n_davidson, 0)):
-                phases.extend(self._dft_iteration(Algorithm.VERYFAST))
+            n_davidson = min(max(spec.nelmdl, 5), spec.nelm)
+            phases.extend(self._dft_iteration(Algorithm.NORMAL) * n_davidson)
+            if spec.nelm > n_davidson:
+                rmm = self._dft_iteration(Algorithm.VERYFAST)
+                phases.extend(rmm * (spec.nelm - n_davidson))
         else:
-            for _ in range(spec.nelm):
-                iteration = self._dft_iteration(spec.algo)
-                if spec.functional is Functional.VDW:
-                    iteration.append(self._vdw_phase())
-                phases.extend(iteration)
+            iteration = self._dft_iteration(spec.algo)
+            if spec.functional is Functional.VDW:
+                iteration.append(self._vdw_phase())
+            phases.extend(iteration * spec.nelm)
         phases.append(
             MacroPhase(
                 name="finalize",

@@ -123,37 +123,35 @@ class CloudscWorkload:
                 mem_bw_utilization=0.30,
             )
         ]
+        timestep = [
+            MacroPhase(
+                name="microphysics_sweep",
+                duration_s=sweep_time,
+                gpu_profile=sweep_profile,
+                cpu_utilization=0.05,
+                mem_bw_utilization=0.08,
+                nic_utilization=0.1 if layout.n_nodes > 1 else 0.02,
+            ),
+            MacroPhase(
+                name="diagnostics",
+                duration_s=diag_time,
+                gpu_profile=diag_profile,
+                cpu_utilization=0.15,
+                mem_bw_utilization=0.10,
+            ),
+        ]
+        # Field dump: host-side pack + write, GPU idle.
+        field_dump = MacroPhase(
+            name="field_dump",
+            duration_s=6.0,
+            gpu_profile=replace(DIAGNOSTICS.scaled(0.05), duty_cycle=0.0),
+            cpu_utilization=0.45,
+            mem_bw_utilization=0.50,
+        )
         for step in range(p.timesteps):
-            phases.append(
-                MacroPhase(
-                    name="microphysics_sweep",
-                    duration_s=sweep_time,
-                    gpu_profile=sweep_profile,
-                    cpu_utilization=0.05,
-                    mem_bw_utilization=0.08,
-                    nic_utilization=0.1 if layout.n_nodes > 1 else 0.02,
-                )
-            )
-            phases.append(
-                MacroPhase(
-                    name="diagnostics",
-                    duration_s=diag_time,
-                    gpu_profile=diag_profile,
-                    cpu_utilization=0.15,
-                    mem_bw_utilization=0.10,
-                )
-            )
+            phases.extend(timestep)
             if (step + 1) % p.dump_every == 0:
-                # Field dump: host-side pack + write, GPU idle.
-                phases.append(
-                    MacroPhase(
-                        name="field_dump",
-                        duration_s=6.0,
-                        gpu_profile=replace(DIAGNOSTICS.scaled(0.05), duty_cycle=0.0),
-                        cpu_utilization=0.45,
-                        mem_bw_utilization=0.50,
-                    )
-                )
+                phases.append(field_dump)
         phases.append(
             MacroPhase(
                 name="finalize",

@@ -111,16 +111,14 @@ class EntropyWorkload:
                 mem_bw_utilization=0.45,
             )
         ]
-        for _ in range(p.batches):
-            phases.append(
-                MacroPhase(
-                    name="entropy_kernel",
-                    duration_s=p.kernel_s,
-                    gpu_profile=profile,
-                    cpu_utilization=0.06,
-                    mem_bw_utilization=0.08,
-                )
-            )
+        kernel = MacroPhase(
+            name="entropy_kernel",
+            duration_s=p.kernel_s,
+            gpu_profile=profile,
+            cpu_utilization=0.06,
+            mem_bw_utilization=0.08,
+        )
+        phases.extend([kernel] * p.batches)
         phases.append(
             MacroPhase(
                 name="collect_outputs",

@@ -131,41 +131,34 @@ class MultiPhysicsWorkload:
                 mem_bw_utilization=0.30,
             )
         ]
+        hydro = MacroPhase(
+            name="hydro_package",
+            duration_s=hydro_time,
+            gpu_profile=hydro_profile,
+            cpu_utilization=0.08,
+            mem_bw_utilization=0.08,
+            nic_utilization=0.2 if layout.n_nodes > 1 else 0.03,
+        )
+        diffusion = MacroPhase(
+            name="diffusion_package",
+            duration_s=diffusion_time,
+            gpu_profile=diffusion_profile,
+            cpu_utilization=0.06,
+            mem_bw_utilization=0.10,
+            nic_utilization=0.3 if layout.n_nodes > 1 else 0.03,
+        )
+        cycle_phases = [hydro] * p.hydro_subcycles + [diffusion] * p.diffusion_subcycles
+        checkpoint = MacroPhase(
+            name="checkpoint",
+            duration_s=self.checkpoint_s,
+            gpu_profile=replace(DIFFUSION_PACKAGE.scaled(0.05), duty_cycle=0.0),
+            cpu_utilization=0.50,
+            mem_bw_utilization=0.60,
+        )
         for cycle in range(p.cycles):
-            for _ in range(p.hydro_subcycles):
-                phases.append(
-                    MacroPhase(
-                        name="hydro_package",
-                        duration_s=hydro_time,
-                        gpu_profile=hydro_profile,
-                        cpu_utilization=0.08,
-                        mem_bw_utilization=0.08,
-                        nic_utilization=0.2 if layout.n_nodes > 1 else 0.03,
-                    )
-                )
-            for _ in range(p.diffusion_subcycles):
-                phases.append(
-                    MacroPhase(
-                        name="diffusion_package",
-                        duration_s=diffusion_time,
-                        gpu_profile=diffusion_profile,
-                        cpu_utilization=0.06,
-                        mem_bw_utilization=0.10,
-                        nic_utilization=0.3 if layout.n_nodes > 1 else 0.03,
-                    )
-                )
+            phases.extend(cycle_phases)
             if (cycle + 1) % p.checkpoint_every == 0:
-                phases.append(
-                    MacroPhase(
-                        name="checkpoint",
-                        duration_s=self.checkpoint_s,
-                        gpu_profile=replace(
-                            DIFFUSION_PACKAGE.scaled(0.05), duty_cycle=0.0
-                        ),
-                        cpu_utilization=0.50,
-                        mem_bw_utilization=0.60,
-                    )
-                )
+                phases.append(checkpoint)
         return phases
 
     def uncapped_runtime_s(self, parallel: ParallelConfig | None = None) -> float:

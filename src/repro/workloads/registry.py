@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.errors import RegistryLookupError
+
 #: Valid classification hints: the WorkloadClass values understood by
 #: repro.capping.policy (kept as strings to avoid the import cycle).
 CLASS_HINTS: tuple[str, ...] = ("higher_order", "basic_dft", "other")
@@ -90,7 +92,7 @@ class WorkloadModel:
         """Construct one instance (the default variant when unset)."""
         chosen = self.default_variant if variant is None else variant
         if chosen not in self.variants:
-            raise KeyError(
+            raise RegistryLookupError(
                 f"unknown {self.id} variant {chosen!r}; "
                 f"known: {', '.join(self.variants)}"
             )
@@ -156,7 +158,7 @@ def get_workload_model(model: "str | WorkloadModel") -> WorkloadModel:
     try:
         return _REGISTRY[model]
     except KeyError:
-        raise KeyError(
+        raise RegistryLookupError(
             f"unknown workload model {model!r}; "
             f"known: {', '.join(workload_model_ids())}"
         ) from None
@@ -227,7 +229,7 @@ def resolve_workload(ref: str) -> Any:
     model_id, sep, variant = ref.partition(":")
     model = _REGISTRY.get(model_id)
     if model is None:
-        raise KeyError(
+        raise RegistryLookupError(
             f"unknown workload {ref!r}; known: benchmarks "
             f"{', '.join(sorted(BENCHMARKS))}; models "
             f"{', '.join(workload_model_ids())} (use model or model:variant)"

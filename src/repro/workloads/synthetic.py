@@ -42,11 +42,7 @@ class GemmStreamWorkload:
     ) -> list[MacroPhase]:
         """repeats x (STREAM then DGEMM), the acceptance-script order."""
         del parallel, comm  # single-GPU-shaped segments, no layout term
-        phases: list[MacroPhase] = []
-        for _ in range(self.repeats):
-            phases.append(stream_phase(self.stream_s))
-            phases.append(dgemm_phase(self.dgemm_s))
-        return phases
+        return [stream_phase(self.stream_s), dgemm_phase(self.dgemm_s)] * self.repeats
 
     def uncapped_runtime_s(self, parallel: ParallelConfig | None = None) -> float:
         """Total runtime at default power limits."""

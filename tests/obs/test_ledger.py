@@ -331,7 +331,7 @@ class TestRunsCli:
         self.run_schedule()
         capsys.readouterr()
         assert main(["runs", "show", "nope"]) == 2
-        assert "error" in capsys.readouterr().out
+        assert capsys.readouterr().err == "repro: error: no run matches 'nope'\n"
 
     def test_unrecorded_commands_stay_silent(self, capsys):
         assert main(["list"]) == 0

@@ -267,7 +267,7 @@ class TestSentinelCli:
     def test_check_unknown_ref(self, capsys):
         self.seed((1.0,))
         assert main(["sentinel", "check", "nope"]) == 2
-        assert "error" in capsys.readouterr().out
+        assert capsys.readouterr().err == "repro: error: no run matches 'nope'\n"
 
     def test_check_tolerance_flag(self, capsys):
         self.seed((1.0, 1.02, 0.98, 1.4))
