@@ -4,10 +4,10 @@ The streaming fleet path exists so a 1000-node / 200-job simulation runs
 in bounded memory: node traces are rendered in fixed-size chunks and
 folded into the system-power accumulator without ever being retained.
 ``test_fleet_traced_stream`` times that path; ``test_fleet_memory_gate``
-measures its tracemalloc peak against the dense reference
-(``retain_traces=True``) and fails unless streaming uses at least
-``MEMORY_REDUCTION_FLOOR`` times less peak memory while producing
-bit-identical statistics.  ``scripts/bench_compare.py`` reuses
+measures its tracemalloc peak against the dense test oracle
+(:mod:`tests.capping.reference_fleet`) and fails unless streaming uses
+at least ``MEMORY_REDUCTION_FLOOR`` times less peak memory while
+producing bit-identical statistics.  ``scripts/bench_compare.py`` reuses
 :func:`measure_fleet_memory` to record the peaks in the baseline.
 """
 
@@ -16,6 +16,7 @@ import tracemalloc
 from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.runner.engine import EngineConfig, import_render_modules
+from tests.capping.reference_fleet import dense_fleet_traced
 
 #: The ISSUE-scale fleet: 200 jobs streamed across a 1000-node pool.
 FLEET_NODES = 1000
@@ -31,15 +32,14 @@ def _fleet_jobs():
     return job_stream(n_jobs=FLEET_JOBS, mean_interarrival_s=60.0, seed=11)
 
 
-def _run(jobs, retain_traces: bool = False) -> FleetTraceReport:
-    return simulate_fleet_traced(
+def _run(jobs, simulate=simulate_fleet_traced) -> FleetTraceReport:
+    return simulate(
         jobs,
         CapPolicy.half_tdp(),
         "50% TDP policy",
         n_nodes=FLEET_NODES,
         engine_config=ENGINE,
         seed=11,
-        retain_traces=retain_traces,
     )
 
 
@@ -59,7 +59,7 @@ def measure_fleet_memory() -> tuple[FleetTraceReport, FleetTraceReport, int, int
     _, stream_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    dense = _run(jobs, retain_traces=True)
+    dense = _run(jobs, simulate=dense_fleet_traced)
     _, dense_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return stream, dense, stream_peak, dense_peak

@@ -12,9 +12,9 @@ best per-round paired ratio, so uniform host slowdown cancels out of
 the ratio and a single noisy round cannot fail the gate.
 
 The monitor's up-front idle survey (``attach_pool``) requires the whole
-node pool materialized, so the plain reference runs with
-``eager_pool=True`` — otherwise the ratio would re-measure the lazy
-pool's construction savings (gated separately in
+node pool materialized, so the plain reference materializes a pool of
+the same size inside its timed run — otherwise the ratio would
+re-measure the lazy pool's construction savings (gated separately in
 ``test_shard_bench.py``) instead of the observation cost.
 """
 
@@ -23,6 +23,7 @@ import time
 
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
+from repro.hardware.system import PerlmutterSystem
 from repro.monitor import FleetMonitor, MonitorReport
 from repro.runner.engine import EngineConfig
 
@@ -36,8 +37,10 @@ ENGINE = EngineConfig(base_interval_s=1.0)
 
 def _run(monitor=None):
     jobs = job_stream(n_jobs=MONITOR_JOBS, mean_interarrival_s=60.0, seed=11)
-    # eager_pool puts pool construction on both sides of the overhead
-    # ratio (monitored runs always materialize for the idle survey).
+    if monitor is None:
+        # Put pool construction on both sides of the overhead ratio
+        # (monitored runs always materialize for the idle survey).
+        PerlmutterSystem(n_nodes=MONITOR_NODES).materialize()
     return simulate_fleet_traced(
         jobs,
         CapPolicy.half_tdp(),
@@ -46,7 +49,6 @@ def _run(monitor=None):
         engine_config=ENGINE,
         seed=11,
         monitor=monitor,
-        eager_pool=monitor is None,
     )
 
 

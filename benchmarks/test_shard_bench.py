@@ -5,10 +5,11 @@ being the bottleneck: a 100k-node simulation should cost little more
 than a 1k-node one when the job stream is the same (only allocated
 nodes are built, and rendering shards across workers).  The gate
 compares the new path (``workers=SHARD_WORKERS``, lazy pool) against
-the pre-sharding reference behaviour (``eager_pool=True``: every node
-constructed up front, serial rendering) at the 100k-node point and
-fails unless the new path clears ``SPEEDUP_FLOOR`` in nodes/sec while
-producing bit-identical statistics.
+the pre-sharding reference behaviour (every pool node constructed up
+front by an explicit, timed ``materialize()``, then serial rendering)
+at the 100k-node point and fails unless the new path clears
+``SPEEDUP_FLOOR`` in nodes/sec while producing bit-identical
+statistics.
 
 That ratio is load-invariant — eager construction is O(pool) work the
 new path simply does not do — so the gate holds on a loaded 1-CPU CI
@@ -21,6 +22,7 @@ import time
 
 from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
+from repro.hardware.system import PerlmutterSystem
 from repro.runner.engine import EngineConfig
 from repro.runner.sweep import available_cpus
 
@@ -51,6 +53,12 @@ def _run(jobs, n_nodes: int, **kwargs) -> FleetTraceReport:
         seed=11,
         **kwargs,
     )
+
+
+def _eager_reference(jobs) -> FleetTraceReport:
+    """The pre-sharding behaviour: build every pool node, render serially."""
+    PerlmutterSystem(n_nodes=LARGE_NODES).materialize()
+    return _run(jobs, LARGE_NODES)
 
 
 def _timed(fn) -> tuple[FleetTraceReport, float]:
@@ -86,9 +94,7 @@ def measure_shard_scaling() -> dict:
         lambda: _run(jobs, LARGE_NODES, workers=SHARD_WORKERS)
     )
     # The pre-sharding reference: every pool node constructed up front.
-    large_eager, large_eager_s = _timed(
-        lambda: _run(jobs, LARGE_NODES, eager_pool=True)
-    )
+    large_eager, large_eager_s = _timed(lambda: _eager_reference(jobs))
     return {
         "reports": {
             "small_serial": small_serial,

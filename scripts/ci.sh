@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests, then the guarded benchmark comparison
 # (timing drift on the sweep benches plus the fleet memory gate —
-# streaming must beat the dense path's tracemalloc peak by >= 3x).
+# streaming must beat the dense test oracle's tracemalloc peak by >= 3x).
 #
 # Usage:
 #   scripts/ci.sh                 # full gate: pytest + bench compare
@@ -140,6 +140,19 @@ filter_summaries "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial.txt"
 filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
 diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
+
+echo "== monitored fleet smoke (bit-identity vs serial) =="
+# A monitored run is the only one that materializes every pool node (the
+# monitor surveys each node's idle band) and taps the live engine
+# stream; its policy table must match the serial smoke's row for row.
+policy_rows() { grep -E '^(uncapped|50% TDP policy) +\|' "$1" > "$2" || true; }
+python -m repro "${FLEET_ARGS[@]}" --monitor > "$SMOKE_DIR/monitored.out"
+policy_rows "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial-rows.txt"
+policy_rows "$SMOKE_DIR/monitored.out" "$SMOKE_DIR/monitored-rows.txt"
+[[ -s "$SMOKE_DIR/serial-rows.txt" ]] \
+    || { echo "serial fleet smoke printed no policy rows"; exit 1; }
+diff "$SMOKE_DIR/serial-rows.txt" "$SMOKE_DIR/monitored-rows.txt" \
+    || { echo "monitored fleet policy rows diverged from serial"; exit 1; }
 
 echo "== scenario smoke (workload registry + named scenario bit-identity) =="
 python -m repro workloads

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -44,25 +44,19 @@ from repro.capping.scheduler import (
 )
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import (
-    JobPowerPartial,
     PerlmutterSystem,
     RunningMoments,
     SystemPowerAccumulator,
     SystemPowerStats,
 )
 from repro.runner.cache import fingerprint
-from repro.runner.engine import (
-    DEFAULT_STREAM_CHUNK,
-    EngineConfig,
-    PowerEngine,
-    render_chunk_samples,
-)
+from repro.runner.engine import EngineConfig
 from repro.runner.sweep import SweepExecutor
-from repro.runner.trace import RunResult
 from repro.vasp.benchmarks import BENCHMARKS
 from repro.vasp.parallel import layout_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.hardware.node import GpuNode
     from repro.monitor.collector import FleetMonitor
     from repro.vasp.phases import MacroPhase
 
@@ -304,245 +298,133 @@ def _job_seed(job_id: str, seed: int) -> int:
     return (zlib.crc32(job_id.encode("utf-8")) ^ seed) & 0x7FFFFFFF
 
 
-def simulate_fleet_traced(
-    jobs: list[Job],
-    policy: CapPolicy,
-    policy_name: str,
-    n_nodes: int = 16,
-    power_budget_w: float | None = None,
-    *,
-    bin_s: float = 1.0,
-    chunk_samples: int | None = None,
-    engine_config: EngineConfig | None = None,
-    seed: int = 0,
-    retain_traces: bool = False,
-    monitor: "FleetMonitor | None" = None,
-    platform: "str | Platform | None" = None,
-    node_platforms: "list[str | Platform | NodeSpec] | None" = None,
-    workers: int | None = None,
-    eager_pool: bool = False,
-    checkpoint: "str | Path | None" = None,
-    checkpoint_every: int = 64,
-    resume: bool = False,
-    heartbeat: "str | Path | None" = None,
-    heartbeat_interval_s: float = 1.0,
-    progress: "Callable[[HeartbeatSnapshot], None] | None" = None,
-) -> FleetTraceReport:
-    """Schedule a stream, render every job's traces, aggregate streaming.
+def _suffixed(path: Path | None, suffix: str) -> Path | None:
+    return path.with_name(path.name + suffix) if path is not None else None
 
-    The schedule comes from the same analytic :class:`PowerAwareScheduler`
-    pass as :func:`simulate_fleet`; the report's power statistics come
-    from replaying that schedule against a real node pool
-    (:class:`PerlmutterSystem` allocations, per-node variability, cap
-    state).  Every execution mode reduces each job to a compact
-    :class:`repro.capping.shard.JobPartial` and folds the partials in
-    chronological job order through one shared fold (accumulator bins,
-    node moments, busy intervals, monitor state) — which is why the modes
-    below are bit-identical to each other.
 
-    Admission, the render and the shard tasks read each workload's
-    digest and phase lists from one :class:`FleetPlan`, built for this
-    call (:func:`compare_fleet_policies_traced` shares one between its
-    two policies).
+@dataclass(frozen=True)
+class _FleetOptions:
+    """Every setting of one traced fleet run, built once per public call.
 
-    ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
-    across worker processes (:func:`repro.capping.shard.run_sharded`):
-    jobs are balanced by platform-aware render cost, workers rebuild
-    their nodes from (name, spec) and ship partials back — raw trace
-    chunks never cross IPC.  Peak memory at the coordinator stays
-    O(chunk) + O(makespan / bin_s) regardless of fleet size.
-
-    ``checkpoint`` (or ``REPRO_FLEET_CHECKPOINT``) atomically snapshots
-    the fold every ``checkpoint_every`` jobs and after the last one;
-    ``resume=True`` restores the snapshot — after validating a content
-    fingerprint of the simulation inputs — and continues from the next
-    chronological job, producing the same bits as an uninterrupted run.
-    Incompatible with ``retain_traces`` and ``monitor`` (dense traces
-    and monitor state are not checkpointed).
-
-    ``heartbeat`` (or ``REPRO_FLEET_HEARTBEAT``) publishes a live,
-    atomically-replaced JSON progress snapshot — jobs folded,
-    node-weighted progress, nodes/sec, ETA, checkpoint age — after each
-    folded job (throttled to ``heartbeat_interval_s``); ``progress``
-    receives the same :class:`repro.obs.heartbeat.HeartbeatSnapshot`
-    objects in-process.  Observation-only, like the monitor.
-
-    Observability composes with every mode: sharded workers capture
-    their spans and metric updates into a fresh per-process state and
-    ship an :class:`repro.obs.merge.ObsPartial` back with their job
-    partials, which the coordinator folds into the live tracer and
-    registry — the merged Chrome trace carries one row per worker pid,
-    and merged counter totals equal a serial run's exactly.
-
-    ``retain_traces=True`` is the dense reference path: it renders and
-    retains every job's full trace before re-chunking it through the
-    same per-job fold, producing bit-identical statistics at
-    O(sum-of-traces) memory.  The memory-gated fleet bench compares the
-    two.  Always in-process (``workers`` must stay unset or 1).
-
-    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: on the
-    serial path as a live engine-stream tap, on the sharded path by
-    replaying worker-recorded :class:`repro.monitor.JobMonitorPartial`
-    summaries in chronological order — both yield the same report.  It
-    never writes back; the fleet report is bit-identical with or without
-    it.  The caller finalizes the monitor.
-
-    ``platform`` selects the hardware platform for the whole pool;
-    ``node_platforms`` instead builds a *mixed* pool, cycling the given
-    platforms/specs round-robin across nodes.  In a mixed pool each
-    node's cap is clamped to its own GPU's supported range before being
-    applied (a clamped-up cap can surface as a ``cap_violation`` health
-    signal — the node genuinely cannot honour the policy's cap).
-
-    The node pool is lazy: only nodes that jobs actually touch are
-    constructed (a 100k-node pool with a handful of jobs builds a
-    handful of nodes).  ``eager_pool=True`` forces up-front construction
-    of every node — the pre-sharding reference behaviour the scaling
-    bench compares against.  Monitored runs always materialize the pool
-    (the monitor surveys every node's idle band).
+    The field names are the public keyword names, so each entry point
+    builds its record from its own arguments (:meth:`from_arguments`).
+    ``checkpoint`` and ``heartbeat`` are resolved against
+    ``REPRO_FLEET_CHECKPOINT`` / ``REPRO_FLEET_HEARTBEAT`` there.
     """
-    return _simulate_fleet_traced(
-        FleetPlan(),
-        jobs,
-        policy,
-        policy_name,
-        n_nodes,
-        power_budget_w,
-        bin_s=bin_s,
-        chunk_samples=chunk_samples,
-        engine_config=engine_config,
-        seed=seed,
-        retain_traces=retain_traces,
-        monitor=monitor,
-        platform=platform,
-        node_platforms=node_platforms,
-        workers=workers,
-        eager_pool=eager_pool,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        heartbeat=heartbeat,
-        heartbeat_interval_s=heartbeat_interval_s,
-        progress=progress,
-    )
+
+    n_nodes: int
+    power_budget_w: float | None
+    bin_s: float
+    chunk_samples: int | None
+    engine_config: EngineConfig | None
+    seed: int
+    platform: "str | Platform | None"
+    node_platforms: "list[str | Platform | NodeSpec] | None"
+    workers: int | None
+    checkpoint: Path | None
+    checkpoint_every: int
+    resume: bool
+    heartbeat: Path | None
+    heartbeat_interval_s: float
+    progress: "Callable[[HeartbeatSnapshot], None] | None"
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
+        if self.resume and self.checkpoint is None:
+            raise ValueError(
+                "resume=True requires checkpoint= (or REPRO_FLEET_CHECKPOINT)"
+            )
+
+    @classmethod
+    def from_arguments(cls, arguments: dict) -> "_FleetOptions":
+        """The record of a public entry point's ``locals()``."""
+        settings = {name: arguments[name] for name in cls.__dataclass_fields__}
+        for name, from_env in (
+            ("checkpoint", shard.checkpoint_path_from_env),
+            ("heartbeat", heartbeat_path_from_env),
+        ):
+            path = settings[name]
+            settings[name] = Path(path) if path is not None else from_env()
+        return cls(**settings)
+
+    def for_policy(self, suffix: str) -> "_FleetOptions":
+        """These options with policy-suffixed checkpoint and heartbeat paths."""
+        return replace(
+            self,
+            checkpoint=_suffixed(self.checkpoint, suffix),
+            heartbeat=_suffixed(self.heartbeat, suffix),
+        )
 
 
-def _simulate_fleet_traced(
+@dataclass
+class _PlannedRun:
+    """The plan stage's output: one policy's schedule bound to node names."""
+
+    plan: FleetPlan
+    options: _FleetOptions
+    policy_name: str
+    monitor: "FleetMonitor | None"
+    schedule: ScheduleResult
+    pool: PerlmutterSystem
+    #: Deduplicated node specs the tasks' ``spec_indices`` point into.
+    spec_table: list[NodeSpec]
+    tasks: list[shard.ShardJobTask]
+    idle_node_w: float
+
+    def capped_nodes(self, task: shard.ShardJobTask) -> list[GpuNode]:
+        """The task's pool nodes, built on first touch, with its cap applied."""
+        nodes = [self.pool.nodes[name] for name in task.node_names]
+        for node in nodes:
+            # A mixed pool may contain GPUs whose supported cap range
+            # does not include the policy's cap; clamp per node.
+            node.set_gpu_power_limit(shard.clamped_cap_w(task.cap_w, node.spec))
+        return nodes
+
+
+def _plan_run(
     plan: FleetPlan,
     jobs: list[Job],
     policy: CapPolicy,
     policy_name: str,
-    n_nodes: int,
-    power_budget_w: float | None,
-    *,
-    bin_s: float,
-    chunk_samples: int | None,
-    engine_config: EngineConfig | None,
-    seed: int,
-    retain_traces: bool,
+    options: _FleetOptions,
     monitor: "FleetMonitor | None",
-    platform: "str | Platform | None",
-    node_platforms: "list[str | Platform | NodeSpec] | None",
-    workers: int | None,
-    eager_pool: bool,
-    checkpoint: "str | Path | None",
-    checkpoint_every: int,
-    resume: bool,
-    heartbeat: "str | Path | None",
-    heartbeat_interval_s: float,
-    progress: "Callable[[HeartbeatSnapshot], None] | None",
-) -> FleetTraceReport:
-    """:func:`simulate_fleet_traced` over the caller's :class:`FleetPlan`."""
-    if monitor is not None and retain_traces:
-        raise ValueError(
-            "monitor= requires the streaming path; retain_traces=True "
-            "renders dense traces (monitor them with observe_run instead)"
-        )
-    explicit_workers = workers is not None
-    resolved_workers = shard.resolve_fleet_workers(len(jobs), workers)
-    if retain_traces and resolved_workers > 1:
-        if explicit_workers:
-            raise ValueError(
-                "retain_traces=True is the dense in-process reference "
-                "path; workers > 1 is unsupported"
-            )
-        # An ambient REPRO_SWEEP_WORKERS should not break the dense path.
-        resolved_workers = 1
-    checkpoint_path = (
-        Path(checkpoint) if checkpoint is not None else shard.checkpoint_path_from_env()
-    )
-    if checkpoint_path is not None and retain_traces:
-        raise ValueError(
-            "checkpointing requires the streaming path (retain_traces=False)"
-        )
-    if checkpoint_path is not None and monitor is not None:
-        raise ValueError(
-            "monitor state is not checkpointable; run monitored fleets "
-            "without checkpoint="
-        )
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if resume and checkpoint_path is None:
-        raise ValueError(
-            "resume=True requires checkpoint= (or REPRO_FLEET_CHECKPOINT)"
-        )
-    run_fp = None
-    if checkpoint_path is not None:
-        run_fp = shard.run_fingerprint(
-            jobs,
-            policy,
-            policy_name,
-            n_nodes,
-            power_budget_w,
-            bin_s,
-            chunk_samples,
-            engine_config,
-            seed,
-            get_platform(platform).id,
-            node_platforms,
-        )
+) -> _PlannedRun:
+    """Plan stage: schedule the stream, then replay its allocations.
+
+    Each job is bound to node *names*; no node is built here.  The serial
+    renderer or the shard workers construct exactly the nodes their jobs
+    touch from the deduplicated spec table.  A monitored run materializes
+    the whole pool, because the monitor surveys every node's idle band.
+    """
     pool = PerlmutterSystem(
-        n_nodes=n_nodes, platform=platform, node_platforms=node_platforms
+        n_nodes=options.n_nodes,
+        platform=options.platform,
+        node_platforms=options.node_platforms,
     )
     pool_specs = pool.node_specs()
+    power_budget_w = options.power_budget_w
     if power_budget_w is None:
         # Node TDP: effectively unbounded.
         power_budget_w = sum(spec.tdp_w for spec in pool_specs)
     config = SchedulerConfig(
-        n_nodes=n_nodes,
+        n_nodes=options.n_nodes,
         power_budget_w=power_budget_w,
         policy=policy,
-        platform=platform,
+        platform=options.platform,
     )
     with obs.span("fleet.schedule_traced", policy=policy_name, jobs=len(jobs)):
         schedule = PowerAwareScheduler(config).schedule(list(jobs), plan)
+    if monitor is not None:
+        monitor.attach_pool(pool.materialize())
     workloads = {job.job_id: job.workload for job in jobs}
-    if monitor is not None or eager_pool:
-        # The monitor surveys every node's idle band up front; eager_pool
-        # is the pre-sharding reference behaviour the scaling bench times.
-        built = pool.materialize()
-        if monitor is not None:
-            monitor.attach_pool(built)
-    idle_node_w = sum(spec.idle_node_w for spec in pool_specs) / len(pool_specs)
-    accumulator = SystemPowerAccumulator(
-        n_nodes=n_nodes, bin_s=bin_s, idle_node_w=idle_node_w
-    )
-    node_moments = RunningMoments()
-    chunks_streamed = 0
-    bytes_streamed = 0
-    jobs_done = 0
-    retained: list[tuple[shard.ShardJobTask, RunResult]] = []
-    #: Running total of ``resident_bytes()`` over ``retained``.
-    retained_bytes = 0
-    #: (analytic end time, job id) release queue for pool bookkeeping.
-    release_queue: list[tuple[float, str]] = []
-
-    # ---- plan: replay allocations, binding each job to node *names* ----
-    # No nodes are built here; workers (or the serial renderer) construct
-    # exactly the nodes their jobs touch from the deduplicated spec table.
     spec_table: list[NodeSpec] = []
     spec_ids: dict[int, int] = {}
     tasks: list[shard.ShardJobTask] = []
+    #: (analytic end time, job id) release queue for pool bookkeeping.
+    release_queue: list[tuple[float, str]] = []
     for index, record in enumerate(schedule.records_chronological()):
         while release_queue and release_queue[0][0] <= record.start_s + 1e-9:
             _, done = heapq.heappop(release_queue)
@@ -562,7 +444,7 @@ def _simulate_fleet_traced(
         if monitor is not None:
             # Uncapped runtime for the monitor's slowdown accounting.
             nominal_s = cached_estimate_run(
-                workload, record.n_nodes, None, platform, plan
+                workload, record.n_nodes, None, options.platform, plan
             ).runtime_s
         tasks.append(
             shard.ShardJobTask(
@@ -576,254 +458,219 @@ def _simulate_fleet_traced(
                 spec_indices=tuple(indices),
                 workload=workload,
                 phase_key=plan.phase_key(workload, record.n_nodes),
-                seed=_job_seed(record.job_id, seed),
+                seed=_job_seed(record.job_id, options.seed),
                 nominal_runtime_s=nominal_s,
             )
         )
     for _, job_id in release_queue:
         pool.release(job_id)
-    total_jobs = len(tasks)
-    total_task_nodes = sum(task.n_nodes for task in tasks)
-    nodes_folded = 0
-
-    heartbeat_path = (
-        Path(heartbeat) if heartbeat is not None else heartbeat_path_from_env()
+    idle_node_w = sum(spec.idle_node_w for spec in pool_specs) / len(pool_specs)
+    return _PlannedRun(
+        plan=plan,
+        options=options,
+        policy_name=policy_name,
+        monitor=monitor,
+        schedule=schedule,
+        pool=pool,
+        spec_table=spec_table,
+        tasks=tasks,
+        idle_node_w=idle_node_w,
     )
-    beat: RunHeartbeat | None = None
-    if heartbeat_path is not None or progress is not None:
-        beat = RunHeartbeat(
-            heartbeat_path,
-            progress,
-            label=f"fleet:{policy_name}",
-            jobs_total=total_jobs,
-            nodes_total=total_task_nodes,
-            min_interval_s=heartbeat_interval_s,
-        )
 
-    # ---- resume: restore the fold, skip the covered chronological prefix
-    if resume:
-        state = shard.load_checkpoint(checkpoint_path)
-        if state is not None:
-            if state.fingerprint != run_fp:
-                raise ValueError(
-                    f"{checkpoint_path} was written by a different "
-                    "simulation (input fingerprint mismatch); refusing "
-                    "to resume"
-                )
-            skipped = min(state.jobs_done, total_jobs)
-            accumulator.restore(state.accumulator_state)
-            node_moments = RunningMoments.from_state(state.moments_state)
-            chunks_streamed = state.chunks_streamed
-            bytes_streamed = state.bytes_streamed
-            jobs_done = skipped
-            nodes_folded = sum(task.n_nodes for task in tasks[:skipped])
-            tasks = tasks[skipped:]
-            if beat is not None:
-                # Resumed jobs cost nothing this run; keep them out of
-                # the nodes/sec (and therefore ETA) estimate.
-                beat.resume_baseline(skipped, nodes_folded)
-            obs.inc("repro_fleet_jobs_resumed_total", skipped)
-            logger.debug(
-                "resuming fleet (%s) from %s: %d/%d jobs already folded",
-                policy_name,
-                checkpoint_path,
-                skipped,
-                total_jobs,
+
+class _FleetFold:
+    """Fold stage: merges job partials into the run, in chronological order.
+
+    Every execution path (serial, sharded, and the dense test oracle)
+    feeds its partials through one of these, which is what makes the
+    paths bit-identical.  Besides the accumulator and the node-power
+    moments it owns the stream counters, the checkpoint writes, the
+    heartbeat and the monitor's replay of worker-recorded partials.
+    """
+
+    def __init__(self, run: _PlannedRun, run_fp: str | None = None) -> None:
+        options = run.options
+        self._run = run
+        self._run_fp = run_fp
+        self.accumulator = SystemPowerAccumulator(
+            n_nodes=options.n_nodes, bin_s=options.bin_s, idle_node_w=run.idle_node_w
+        )
+        self.node_moments = RunningMoments()
+        self.chunks_streamed = 0
+        self.bytes_streamed = 0
+        self.jobs_done = 0
+        self.jobs_resumed = 0
+        self.nodes_folded = 0
+        self._beat: RunHeartbeat | None = None
+        if options.heartbeat is not None or options.progress is not None:
+            self._beat = RunHeartbeat(
+                options.heartbeat,
+                options.progress,
+                label=f"fleet:{run.policy_name}",
+                jobs_total=len(run.tasks),
+                nodes_total=sum(task.n_nodes for task in run.tasks),
+                min_interval_s=options.heartbeat_interval_s,
             )
 
-    def fold(partial: shard.JobPartial) -> None:
-        """Chan-merge one job's partial into the run aggregates.
+    def resume(self) -> list[shard.ShardJobTask]:
+        """Restore the checkpointed fold; return the tasks it does not cover."""
+        tasks = self._run.tasks
+        path = self._run.options.checkpoint
+        state = shard.load_checkpoint(path)
+        if state is None:
+            return tasks
+        if state.fingerprint != self._run_fp:
+            raise ValueError(
+                f"{path} was written by a different simulation (input "
+                "fingerprint mismatch); refusing to resume"
+            )
+        skipped = min(state.jobs_done, len(tasks))
+        self.accumulator.restore(state.accumulator_state)
+        self.node_moments = RunningMoments.from_state(state.moments_state)
+        self.chunks_streamed = state.chunks_streamed
+        self.bytes_streamed = state.bytes_streamed
+        self.jobs_done = self.jobs_resumed = skipped
+        self.nodes_folded = sum(task.n_nodes for task in tasks[:skipped])
+        if self._beat is not None:
+            # Resumed jobs cost nothing this run; keep them out of the
+            # nodes/sec (and therefore ETA) estimate.
+            self._beat.resume_baseline(skipped, self.nodes_folded)
+        obs.inc("repro_fleet_jobs_resumed_total", skipped)
+        logger.debug(
+            "resuming fleet (%s) from %s: %d/%d jobs already folded",
+            self._run.policy_name,
+            path,
+            skipped,
+            len(tasks),
+        )
+        return tasks[skipped:]
 
-        Called in chronological job order by every execution mode — this
-        single fold is the bit-identity anchor.
-        """
-        nonlocal chunks_streamed, bytes_streamed, jobs_done, nodes_folded
-        accumulator.merge_partial(partial.power)
+    def __call__(self, partial: shard.JobPartial) -> None:
+        """Chan-merge one job's partial into the run aggregates."""
+        self.accumulator.merge_partial(partial.power)
         for row in partial.moment_rows:
-            node_moments.merge(RunningMoments.from_state(row))
-        accumulator.add_busy_interval(
+            self.node_moments.merge(RunningMoments.from_state(row))
+        self.accumulator.add_busy_interval(
             partial.start_s, partial.start_s + partial.runtime_s, partial.n_nodes
         )
-        chunks_streamed += partial.chunks
-        bytes_streamed += partial.nbytes
+        self.chunks_streamed += partial.chunks
+        self.bytes_streamed += partial.nbytes
         if partial.chunks:
             obs.inc("repro_fleet_chunks_total", partial.chunks)
+        monitor = self._run.monitor
         if monitor is not None and partial.monitor is not None:
             monitor.absorb_job_partial(partial.monitor)
-        jobs_done += 1
-        nodes_folded += partial.n_nodes
+        self.jobs_done += 1
+        self.nodes_folded += partial.n_nodes
         obs.inc("repro_fleet_jobs_rendered_total")
         obs.inc("repro_fleet_partials_merged_total")
-        obs.gauge_set(
-            "repro_fleet_resident_bytes", accumulator.resident_bytes + retained_bytes
-        )
-        if checkpoint_path is not None and (
-            jobs_done % checkpoint_every == 0 or jobs_done == total_jobs
+        obs.gauge_set("repro_fleet_resident_bytes", self.accumulator.resident_bytes)
+        options = self._run.options
+        if options.checkpoint is not None and (
+            self.jobs_done % options.checkpoint_every == 0
+            or self.jobs_done == len(self._run.tasks)
         ):
             shard.save_checkpoint(
-                checkpoint_path,
+                options.checkpoint,
                 shard.FleetCheckpoint(
                     version=shard.CHECKPOINT_VERSION,
-                    fingerprint=run_fp,
-                    jobs_done=jobs_done,
-                    accumulator_state=accumulator.state(),
-                    moments_state=node_moments.state(),
-                    chunks_streamed=chunks_streamed,
-                    bytes_streamed=bytes_streamed,
+                    fingerprint=self._run_fp,
+                    jobs_done=self.jobs_done,
+                    accumulator_state=self.accumulator.state(),
+                    moments_state=self.node_moments.state(),
+                    chunks_streamed=self.chunks_streamed,
+                    bytes_streamed=self.bytes_streamed,
                 ),
             )
-            if beat is not None:
-                beat.note_checkpoint()
-        if beat is not None:
-            beat.update(jobs_done, nodes_folded)
+            if self._beat is not None:
+                self._beat.note_checkpoint()
+        if self._beat is not None:
+            self._beat.update(self.jobs_done, self.nodes_folded)
 
-    def run_serial(serial_tasks: "list[shard.ShardJobTask]") -> None:
-        for task in serial_tasks:
-            nodes = [pool.nodes[name] for name in task.node_names]
-            for node in nodes:
-                # A mixed pool may contain GPUs whose supported cap range
-                # does not include the policy's cap; clamp per node.
-                node.set_gpu_power_limit(shard.clamped_cap_w(task.cap_w, node.spec))
-            phases = plan.phase_list(task.workload, task.n_nodes)
-            tap_factories: tuple = ()
-            if monitor is not None:
-                monitor.on_job_start(
-                    task.job_id,
-                    n_nodes=task.n_nodes,
-                    cap_w=task.cap_w,
-                    start_s=task.start_s,
-                    end_s=task.end_s,
-                    nominal_runtime_s=task.nominal_runtime_s,
-                )
-                tap_factories = (
-                    lambda dt, job_id=task.job_id: monitor.tap(job_id, dt),
-                )
-            fold(
-                shard.render_job_partial(
-                    nodes,
-                    phases,
-                    index=task.index,
-                    job_id=task.job_id,
-                    start_s=task.start_s,
-                    n_nodes=task.n_nodes,
-                    bin_s=bin_s,
-                    seed=task.seed,
-                    chunk_samples=chunk_samples,
-                    engine_config=engine_config,
-                    tap_factories=tap_factories,
-                )
-            )
-            if monitor is not None:
-                monitor.on_job_end(task.job_id)
+    def finish(self) -> SystemPowerStats:
+        """Publish the final heartbeat and finalize the system statistics."""
+        if self._beat is not None:
+            self._beat.finish(self.jobs_done, self.nodes_folded)
+        return self.accumulator.finalize()
 
-    with obs.span(
-        "fleet.stream_traces",
-        policy=policy_name,
-        jobs=total_jobs,
-        dense=retain_traces,
-        workers=resolved_workers,
+
+def _execute(
+    run: _PlannedRun, tasks: list[shard.ShardJobTask], fold: _FleetFold, workers: int
+) -> None:
+    """Execute stage: render ``tasks`` sharded or serially into ``fold``.
+
+    The serial path doubles as the fallback when no process pool starts.
+    """
+    options, monitor = run.options, run.monitor
+    if workers > 1 and tasks and shard.run_sharded(
+        tasks,
+        run.spec_table,
+        workers=workers,
+        engine_config=options.engine_config,
+        bin_s=options.bin_s,
+        chunk_samples=options.chunk_samples,
+        monitor_config=monitor.config if monitor is not None else None,
+        fold=fold,
     ):
-        if retain_traces:
-            step = chunk_samples or render_chunk_samples() or DEFAULT_STREAM_CHUNK
-            for task in tasks:
-                nodes = [pool.nodes[name] for name in task.node_names]
-                for node in nodes:
-                    node.set_gpu_power_limit(
-                        shard.clamped_cap_w(task.cap_w, node.spec)
-                    )
-                engine = PowerEngine(nodes, engine_config)
-                result = engine.run(
-                    plan.phase_list(task.workload, task.n_nodes),
-                    label=task.job_id,
-                    seed=task.seed,
-                )
-                retained.append((task, result))
-                retained_bytes += result.resident_bytes()
-                obs.gauge_set(
-                    "repro_fleet_resident_bytes",
-                    accumulator.resident_bytes + retained_bytes,
-                )
-            # Dense reference: re-chunk the retained traces through the
-            # same per-job partial fold the streaming path uses —
-            # identical chunk boundaries, identical fold, bit-identical
-            # statistics; the paths differ only in peak resident memory.
-            for task, result in retained:
-                power = JobPowerPartial(start_s=task.start_s, bin_s=bin_s)
-                moment_rows: list[tuple] = []
-                chunks = 0
-                nbytes = 0
-                for trace in result.traces:
-                    dt = trace.sample_interval_s
-                    powers = trace.node_power
-                    times = trace.times
-                    for start in range(0, len(times), step):
-                        stop = min(start + step, len(times))
-                        power.add_samples(
-                            task.start_s, times[start:stop], powers[start:stop], dt
-                        )
-                        moment_rows.append(
-                            RunningMoments.from_batch(powers[start:stop]).state()
-                        )
-                        chunks += 1
-                        nbytes += int(powers[start:stop].nbytes)
-                power.trim()
-                fold(
-                    shard.JobPartial(
-                        index=task.index,
-                        job_id=task.job_id,
-                        start_s=task.start_s,
-                        n_nodes=task.n_nodes,
-                        runtime_s=result.runtime_s,
-                        power=power,
-                        moment_rows=moment_rows,
-                        chunks=chunks,
-                        nbytes=nbytes,
-                    )
-                )
-        elif resolved_workers > 1 and tasks:
-            pooled = shard.run_sharded(
-                tasks,
-                spec_table,
-                workers=resolved_workers,
-                engine_config=engine_config,
-                bin_s=bin_s,
-                chunk_samples=chunk_samples,
-                monitor_config=monitor.config if monitor is not None else None,
-                fold=fold,
+        return
+    for task in tasks:
+        nodes = run.capped_nodes(task)
+        tap_factories: tuple = ()
+        if monitor is not None:
+            monitor.on_job_start(
+                task.job_id,
+                n_nodes=task.n_nodes,
+                cap_w=task.cap_w,
+                start_s=task.start_s,
+                end_s=task.end_s,
+                nominal_runtime_s=task.nominal_runtime_s,
             )
-            if not pooled:
-                run_serial(tasks)
-        else:
-            run_serial(tasks)
-    if beat is not None:
-        beat.finish(jobs_done, nodes_folded)
-    system = accumulator.finalize()
+            tap_factories = (lambda dt, job_id=task.job_id: monitor.tap(job_id, dt),)
+        fold(
+            shard.render_job_partial(
+                nodes,
+                run.plan.phase_list(task.workload, task.n_nodes),
+                task,
+                bin_s=options.bin_s,
+                chunk_samples=options.chunk_samples,
+                engine_config=options.engine_config,
+                tap_factories=tap_factories,
+            )
+        )
+        if monitor is not None:
+            monitor.on_job_end(task.job_id)
+
+
+def _report(run: _PlannedRun, fold: _FleetFold, workers: int) -> FleetTraceReport:
+    """Report stage: finalize the fold, annotate the run ledger, report."""
+    system = fold.finish()
+    schedule, options, policy_name = run.schedule, run.options, run.policy_name
     logger.debug(
         "traced fleet (%s): %d jobs, %d chunks, %.1f MB streamed, peak %.0f W, "
         "%d/%d nodes built",
         policy_name,
         len(schedule.records),
-        chunks_streamed,
-        bytes_streamed / 1e6,
+        fold.chunks_streamed,
+        fold.bytes_streamed / 1e6,
         system.peak_power_w,
-        pool.nodes.built_count,
-        n_nodes,
+        run.pool.nodes.built_count,
+        options.n_nodes,
     )
     run_ledger.annotate_run(
-        workers=resolved_workers,
-        nodes=n_nodes,
+        workers=workers,
+        nodes=options.n_nodes,
         fleet={
             policy_name: {
                 "jobs": len(schedule.records),
-                "pool_nodes": n_nodes,
-                "workers": resolved_workers,
+                "pool_nodes": options.n_nodes,
+                "workers": workers,
                 "mean_power_w": round(system.mean_power_w, 3),
                 "peak_power_w": round(system.peak_power_w, 3),
                 "energy_j": system.energy_j,
                 "makespan_s": round(schedule.makespan_s, 3),
-                "chunks_streamed": chunks_streamed,
-                "checkpoint": str(checkpoint_path) if checkpoint_path else None,
-                "resumed_jobs": (total_jobs - len(tasks)) if resume else 0,
+                "chunks_streamed": fold.chunks_streamed,
+                "checkpoint": str(options.checkpoint) if options.checkpoint else None,
+                "resumed_jobs": fold.jobs_resumed,
             }
         },
     )
@@ -831,14 +678,139 @@ def _simulate_fleet_traced(
         policy_name=policy_name,
         schedule=schedule,
         system=system,
-        node_power_mean_w=node_moments.mean,
-        node_power_std_w=node_moments.std,
-        node_power_peak_w=node_moments.peak,
+        node_power_mean_w=fold.node_moments.mean,
+        node_power_std_w=fold.node_moments.std,
+        node_power_peak_w=fold.node_moments.peak,
         jobs_completed=len(schedule.records),
-        samples_streamed=accumulator.samples_added,
-        chunks_streamed=chunks_streamed,
-        bytes_streamed=bytes_streamed,
+        samples_streamed=fold.accumulator.samples_added,
+        chunks_streamed=fold.chunks_streamed,
+        bytes_streamed=fold.bytes_streamed,
     )
+
+
+def _simulate(
+    plan: FleetPlan,
+    jobs: list[Job],
+    policy: CapPolicy,
+    policy_name: str,
+    options: _FleetOptions,
+    monitor: "FleetMonitor | None",
+) -> FleetTraceReport:
+    """One policy's traced run: plan, execute, fold and report."""
+    if options.checkpoint is not None and monitor is not None:
+        raise ValueError(
+            "monitor state is not checkpointable; run monitored fleets "
+            "without checkpoint="
+        )
+    workers = shard.resolve_fleet_workers(len(jobs), options.workers)
+    run_fp = None
+    if options.checkpoint is not None:
+        run_fp = shard.run_fingerprint(
+            jobs,
+            policy,
+            policy_name,
+            options.n_nodes,
+            options.power_budget_w,
+            options.bin_s,
+            options.chunk_samples,
+            options.engine_config,
+            options.seed,
+            get_platform(options.platform).id,
+            options.node_platforms,
+        )
+    run = _plan_run(plan, jobs, policy, policy_name, options, monitor)
+    fold = _FleetFold(run, run_fp)
+    tasks = fold.resume() if options.resume else run.tasks
+    with obs.span(
+        "fleet.stream_traces", policy=policy_name, jobs=len(run.tasks), workers=workers
+    ):
+        _execute(run, tasks, fold, workers)
+    return _report(run, fold, workers)
+
+
+def simulate_fleet_traced(
+    jobs: list[Job],
+    policy: CapPolicy,
+    policy_name: str,
+    n_nodes: int = 16,
+    power_budget_w: float | None = None,
+    *,
+    bin_s: float = 1.0,
+    chunk_samples: int | None = None,
+    engine_config: EngineConfig | None = None,
+    seed: int = 0,
+    monitor: "FleetMonitor | None" = None,
+    platform: "str | Platform | None" = None,
+    node_platforms: "list[str | Platform | NodeSpec] | None" = None,
+    workers: int | None = None,
+    checkpoint: "str | Path | None" = None,
+    checkpoint_every: int = 64,
+    resume: bool = False,
+    heartbeat: "str | Path | None" = None,
+    heartbeat_interval_s: float = 1.0,
+    progress: "Callable[[HeartbeatSnapshot], None] | None" = None,
+) -> FleetTraceReport:
+    """Schedule a stream, render every job's traces, aggregate streaming.
+
+    The schedule comes from the same analytic :class:`PowerAwareScheduler`
+    pass as :func:`simulate_fleet`; the report's power statistics come
+    from replaying that schedule against a real node pool
+    (:class:`PerlmutterSystem` allocations, per-node variability, cap
+    state).  A run has four stages.  *Plan* schedules the stream and
+    binds each job to node names (a :class:`repro.capping.shard.
+    ShardJobTask`).  *Execute* renders each job to a compact
+    :class:`repro.capping.shard.JobPartial`, serially or sharded.
+    *Fold* merges the partials in chronological job order (accumulator
+    bins, node moments, busy intervals, checkpoints, heartbeat, monitor
+    state): one fold for every path, which is why they are bit-identical.
+    *Report* finalizes the statistics and annotates the run ledger.
+    Admission, the render and the shard tasks read each workload's digest
+    and phase lists from one :class:`FleetPlan`, built for this call.
+
+    ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
+    across worker processes (:func:`repro.capping.shard.run_sharded`):
+    jobs are balanced by platform-aware render cost, workers rebuild
+    their nodes from (name, spec) and ship partials back — raw trace
+    chunks never cross IPC — and the run falls back to the serial path
+    where no process pool can start.  Peak memory at the coordinator
+    stays O(chunk) + O(makespan / bin_s) regardless of fleet size.
+    Sharded workers also ship their spans and metric updates back, so
+    the merged trace and counters match a serial run's.
+
+    ``checkpoint`` (or ``REPRO_FLEET_CHECKPOINT``) atomically snapshots
+    the fold every ``checkpoint_every`` jobs and after the last one;
+    ``resume=True`` restores the snapshot — after validating a content
+    fingerprint of the simulation inputs — and continues from the next
+    chronological job, producing the same bits as an uninterrupted run.
+    Incompatible with ``monitor`` (monitor state is not checkpointed).
+
+    ``heartbeat`` (or ``REPRO_FLEET_HEARTBEAT``) publishes a live,
+    atomically-replaced JSON progress snapshot — jobs folded,
+    node-weighted progress, nodes/sec, ETA, checkpoint age — after each
+    folded job (throttled to ``heartbeat_interval_s``); ``progress``
+    receives the same :class:`repro.obs.heartbeat.HeartbeatSnapshot`
+    objects in-process.  Observation-only, like the monitor.
+
+    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: on the
+    serial path as a live engine-stream tap, on the sharded path by
+    replaying worker-recorded :class:`repro.monitor.JobMonitorPartial`
+    summaries in chronological order — both yield the same report.  It
+    never writes back; the fleet report is bit-identical with or without
+    it.  The caller finalizes the monitor.
+
+    ``platform`` selects the hardware platform for the whole pool;
+    ``node_platforms`` instead builds a *mixed* pool, cycling the given
+    platforms/specs round-robin across nodes.  In a mixed pool each
+    node's cap is clamped to its own GPU's supported range before being
+    applied (a clamped-up cap can surface as a ``cap_violation`` health
+    signal — the node genuinely cannot honour the policy's cap).
+
+    The node pool is lazy: only nodes that jobs actually touch are
+    constructed, except in monitored runs (the monitor surveys every
+    node's idle band).
+    """
+    options = _FleetOptions.from_arguments(locals())
+    return _simulate(FleetPlan(), jobs, policy, policy_name, options, monitor)
 
 
 def compare_fleet_policies_traced(
@@ -850,7 +822,6 @@ def compare_fleet_policies_traced(
     bin_s: float = 1.0,
     chunk_samples: int | None = None,
     engine_config: EngineConfig | None = None,
-    retain_traces: bool = False,
     monitors: "tuple[FleetMonitor | None, FleetMonitor | None] | None" = None,
     platform: "str | Platform | None" = None,
     node_platforms: "list[str | Platform | NodeSpec] | None" = None,
@@ -877,65 +848,32 @@ def compare_fleet_policies_traced(
     per policy, ``(capped, uncapped)`` — each policy replays the same job
     ids, so the two runs cannot share a single ledger.  Callers finalize.
 
-    ``workers``/``checkpoint``/``resume``/``heartbeat`` pass through to
-    :func:`simulate_fleet_traced`.  The two policies are distinct
-    simulations, so the checkpoint and heartbeat base paths (argument or
-    ``REPRO_FLEET_CHECKPOINT`` / ``REPRO_FLEET_HEARTBEAT``) get a
-    per-policy suffix (``.capped`` / ``.uncapped``) — resolved here so
-    both policies don't fight over the env-provided path.
+    The other settings mean what they mean for
+    :func:`simulate_fleet_traced`.  Both policies replay one job stream
+    over one :class:`FleetPlan`, so each workload is digested, and each
+    (workload, width) phase list built, once for the whole comparison.
+    The two policies are distinct simulations, so the checkpoint and
+    heartbeat base paths (argument or ``REPRO_FLEET_CHECKPOINT`` /
+    ``REPRO_FLEET_HEARTBEAT``) get a per-policy suffix (``.capped`` /
+    ``.uncapped``).
     """
-    base = Path(checkpoint) if checkpoint is not None else shard.checkpoint_path_from_env()
-    beat_base = Path(heartbeat) if heartbeat is not None else heartbeat_path_from_env()
+    options = _FleetOptions.from_arguments(locals())
     if scenario is not None:
         from repro.capping.scenarios import get_scenario
 
         jobs = get_scenario(scenario).build_jobs(seed=seed)
     else:
         jobs = job_stream(n_jobs=n_jobs, seed=seed)
-    # Both policies replay the same stream, so they share one plan: each
-    # workload is digested, and each (workload, width) phase list built,
-    # once for the whole comparison.
     plan = FleetPlan()
-    reports = []
-    for index, (capped, policy_name, suffix) in enumerate(
-        ((True, "50% TDP policy", ".capped"), (False, "uncapped", ".uncapped"))
-    ):
-        policy = (
-            CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
-        )
-        reports.append(
-            _simulate_fleet_traced(
-                plan,
-                jobs,
-                policy,
-                policy_name,
-                n_nodes,
-                power_budget_w,
-                bin_s=bin_s,
-                chunk_samples=chunk_samples,
-                engine_config=engine_config,
-                seed=seed,
-                retain_traces=retain_traces,
-                monitor=monitors[index] if monitors is not None else None,
-                platform=platform,
-                node_platforms=node_platforms,
-                workers=workers,
-                eager_pool=False,
-                checkpoint=(
-                    base.with_name(base.name + suffix) if base is not None else None
-                ),
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-                heartbeat=(
-                    beat_base.with_name(beat_base.name + suffix)
-                    if beat_base is not None
-                    else None
-                ),
-                heartbeat_interval_s=heartbeat_interval_s,
-                progress=progress,
-            )
-        )
-    return reports[0], reports[1]
+    policies = (
+        (CapPolicy.half_tdp(platform), "50% TDP policy", ".capped"),
+        (CapPolicy.uncapped(platform), "uncapped", ".uncapped"),
+    )
+    capped, uncapped = [
+        _simulate(plan, jobs, policy, name, options.for_policy(suffix), monitor)
+        for (policy, name, suffix), monitor in zip(policies, monitors or (None, None))
+    ]
+    return capped, uncapped
 
 
 def _policy_task(

@@ -162,22 +162,18 @@ class ShardResult:
 def render_job_partial(
     nodes: list[GpuNode],
     phases: "list[MacroPhase]",
+    job: ShardJobTask,
     *,
-    index: int,
-    job_id: str,
-    start_s: float,
-    n_nodes: int,
     bin_s: float,
-    seed: int,
     chunk_samples: int | None,
     engine_config: EngineConfig | None,
     tap_factories: Sequence[Callable[[float], Callable]] = (),
 ) -> JobPartial:
     """Render one job's traces and reduce them to a :class:`JobPartial`.
 
-    This is the single render-and-reduce routine every execution mode
-    runs — in-process for serial fleets, inside a worker for sharded
-    ones — which is what makes the modes bit-identical.  Each
+    This is the single render-and-reduce routine both execution paths
+    run — in-process for serial fleets, inside a worker for sharded
+    ones — which is what makes them bit-identical.  Each
     ``tap_factories`` entry receives the engine's sample interval and
     returns an ``on_chunk`` tap (live monitor or worker probe).
     """
@@ -187,12 +183,12 @@ def render_job_partial(
     )
     streamed = engine.stream(
         phases,
-        label=job_id,
-        seed=seed,
+        label=job.job_id,
+        seed=job.seed,
         chunk_samples=chunk_samples,
         on_chunk=taps or None,
     )
-    power = JobPowerPartial(start_s=start_s, bin_s=bin_s)
+    power = JobPowerPartial(start_s=job.start_s, bin_s=bin_s)
     moment_rows: list[tuple] = []
     chunks = 0
     nbytes = 0
@@ -200,16 +196,16 @@ def render_job_partial(
     for chunk in streamed.chunks:
         if chunk.component != "node":
             continue
-        power.add_samples(start_s, chunk.times, chunk.values, dt)
+        power.add_samples(job.start_s, chunk.times, chunk.values, dt)
         moment_rows.append(RunningMoments.from_batch(chunk.values).state())
         chunks += 1
         nbytes += int(chunk.values.nbytes)
     power.trim()
     return JobPartial(
-        index=index,
-        job_id=job_id,
-        start_s=start_s,
-        n_nodes=n_nodes,
+        index=job.index,
+        job_id=job.job_id,
+        start_s=job.start_s,
+        n_nodes=job.n_nodes,
         runtime_s=streamed.runtime_s,
         power=power,
         moment_rows=moment_rows,
@@ -298,12 +294,8 @@ def _render_task_job(
     partial = render_job_partial(
         nodes,
         phases,
-        index=job.index,
-        job_id=job.job_id,
-        start_s=job.start_s,
-        n_nodes=job.n_nodes,
+        job,
         bin_s=task.bin_s,
-        seed=job.seed,
         chunk_samples=task.chunk_samples,
         engine_config=task.engine_config,
         tap_factories=tap_factories,

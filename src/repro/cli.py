@@ -856,15 +856,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     monitors = None
     if args.monitor or monitoring_requested():
-        if args.retain_traces:
-            print("--monitor requires the streaming path; ignoring with --retain-traces")
-        else:
-            monitors = (
-                FleetMonitor(
-                    MonitorConfig(platform=platform), label="50% TDP policy"
-                ),
-                FleetMonitor(MonitorConfig(platform=platform), label="uncapped"),
-            )
+        monitors = (
+            FleetMonitor(MonitorConfig(platform=platform), label="50% TDP policy"),
+            FleetMonitor(MonitorConfig(platform=platform), label="uncapped"),
+        )
     with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
         capped, uncapped = compare_fleet_policies_traced(
             n_jobs=n_jobs,
@@ -874,7 +869,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             bin_s=args.bin_s,
             chunk_samples=args.chunk,
             engine_config=engine_config,
-            retain_traces=args.retain_traces,
             monitors=monitors,
             platform=platform,
             node_platforms=node_platforms,
@@ -891,10 +885,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # sharded or traced run is only comparable to its own kind.
         # Scenario runs are their own kind too; default runs keep the
         # historical fingerprint (no trailing None) so ledger history
-        # stays comparable across this change.
+        # stays comparable across this change.  The literal False fills
+        # the slot of the removed dense-reference flag, for the same
+        # reason.
         fingerprint=fingerprint(
             "cli.fleet", n_jobs, n_nodes, budget, args.seed, args.bin_s,
-            args.chunk, args.resolution, args.platform, args.retain_traces,
+            args.chunk, args.resolution, args.platform, False,
             args.workers, args.trace is not None, args.metrics is not None,
             *((scenario.id,) if scenario is not None else ()),
         ),
@@ -1415,7 +1411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="corpus-build workers if the surrogate must train first",
     )
@@ -1435,7 +1431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--seed", type=int, default=7)
     p_predict.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="corpus-build workers if the surrogate must train first",
     )
@@ -1506,18 +1502,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace sample interval (coarser = faster; 0.1 matches the paper)",
     )
     p_fleet.add_argument(
-        "--retain-traces",
-        action="store_true",
-        help="dense reference path: retain all traces (O(fleet) memory)",
-    )
-    p_fleet.add_argument(
         "--monitor",
         action="store_true",
         help="attach a live health monitor per policy and print its dashboard",
     )
     p_fleet.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help=(

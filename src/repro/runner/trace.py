@@ -363,7 +363,3 @@ class RunResult:
     def phase_time_s(self, name: str) -> float:
         """Total wall time spent in phases with a given name."""
         return sum(p.duration_s for p in self.phases if p.name == name)
-
-    def resident_bytes(self) -> int:
-        """Total trace bytes resident across nodes."""
-        return sum(t.block.nbytes for t in self.traces)

@@ -18,8 +18,9 @@ from repro.capping.policy import CapPolicy
 from repro.capping.scheduler import estimate_cache
 from repro.experiments import system_power
 from repro.runner import cache
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig
 from repro.vasp.workload import VaspWorkload
+from tests.capping.reference_fleet import dense_fleet_traced
 
 
 class TestJobStream:
@@ -117,14 +118,12 @@ class TestTracedFleet:
         return job_stream(n_jobs=5, seed=7)
 
     def test_streaming_matches_dense_bit_identical(self, jobs):
-        """The O(chunk) streaming path equals the O(fleet) dense path."""
+        """The O(chunk) streaming path equals the O(fleet) dense oracle."""
         kwargs = dict(
             n_nodes=8, bin_s=2.0, chunk_samples=23, engine_config=self.ENGINE, seed=7
         )
         stream = simulate_fleet_traced(jobs, CapPolicy.half_tdp(), "capped", **kwargs)
-        dense = simulate_fleet_traced(
-            jobs, CapPolicy.half_tdp(), "capped", retain_traces=True, **kwargs
-        )
+        dense = dense_fleet_traced(jobs, CapPolicy.half_tdp(), "capped", **kwargs)
         assert stream.system == dense.system
         assert stream.node_power_mean_w == dense.node_power_mean_w
         assert stream.node_power_std_w == dense.node_power_std_w
@@ -132,24 +131,16 @@ class TestTracedFleet:
         assert stream.samples_streamed == dense.samples_streamed
         assert stream.chunks_streamed == dense.chunks_streamed
 
-    def test_dense_resident_gauge_counts_every_retained_trace(self, jobs, monkeypatch):
-        """The final gauge is the bins plus every retained trace's bytes."""
+    def test_streaming_resident_gauge_is_the_accumulator(self, jobs, monkeypatch):
+        """The streaming run retains no trace: the gauge is the bins alone."""
         accumulators = []
-        results = []
 
         class SpyAccumulator(fleet.SystemPowerAccumulator):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 accumulators.append(self)
 
-        real_run = PowerEngine.run
-
-        def spy_run(engine, *args, **kwargs):
-            results.append(real_run(engine, *args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(fleet, "SystemPowerAccumulator", SpyAccumulator)
-        monkeypatch.setattr(PowerEngine, "run", spy_run)
         obs.enable(metrics=True)
         try:
             simulate_fleet_traced(
@@ -159,16 +150,12 @@ class TestTracedFleet:
                 n_nodes=8,
                 engine_config=self.ENGINE,
                 seed=7,
-                retain_traces=True,
             )
             gauge = obs.metrics().get("repro_fleet_resident_bytes").value()
         finally:
             obs.disable()
         (accumulator,) = accumulators
-        assert len(results) == len(jobs)
-        assert gauge == accumulator.resident_bytes + sum(
-            result.resident_bytes() for result in results
-        )
+        assert gauge == accumulator.resident_bytes
 
     def test_capping_reduces_peak_and_variability(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=self.ENGINE, seed=7)

@@ -17,6 +17,7 @@ from repro.capping.policy import CapPolicy
 from repro.hardware.platform import get_platform
 from repro.monitor import FleetMonitor, MonitorConfig
 from repro.runner.engine import EngineConfig
+from tests.capping.reference_fleet import dense_fleet_traced
 
 #: Coarse sampling keeps a five-job fleet render fast while still
 #: producing hundreds of chunks through the accumulator.
@@ -27,17 +28,17 @@ def _jobs():
     return job_stream(n_jobs=5, seed=7)
 
 
+#: Settings every comparison shares unless a test overrides them.
+RUN_KW = dict(bin_s=2.0, chunk_samples=23, engine_config=ENGINE, seed=7)
+
+
 def _run(jobs=None, **kwargs):
-    kwargs.setdefault("bin_s", 2.0)
-    kwargs.setdefault("chunk_samples", 23)
-    kwargs.setdefault("engine_config", ENGINE)
-    kwargs.setdefault("seed", 7)
     return simulate_fleet_traced(
         jobs if jobs is not None else _jobs(),
         CapPolicy.half_tdp(),
         "50% TDP policy",
         8,
-        **kwargs,
+        **{**RUN_KW, **kwargs},
     )
 
 
@@ -63,7 +64,9 @@ class TestShardedBitIdentity:
         _assert_identical(serial, sharded)
 
     def test_sharded_matches_dense(self):
-        dense = _run(retain_traces=True)
+        dense = dense_fleet_traced(
+            _jobs(), CapPolicy.half_tdp(), "50% TDP policy", 8, **RUN_KW
+        )
         sharded = _run(workers=2)
         _assert_identical(dense, sharded)
 
@@ -263,20 +266,6 @@ class TestCheckpointResume:
 
 
 class TestGuardRails:
-    def test_retain_traces_rejects_explicit_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            _run(retain_traces=True, workers=2)
-
-    def test_retain_traces_ignores_env_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
-        dense = _run(retain_traces=True)
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS")
-        _assert_identical(dense, _run())
-
-    def test_checkpoint_rejects_retain_traces(self, tmp_path):
-        with pytest.raises(ValueError, match="streaming path"):
-            _run(retain_traces=True, checkpoint=tmp_path / "c.ckpt")
-
     def test_checkpoint_rejects_monitor(self, tmp_path):
         with pytest.raises(ValueError, match="monitor"):
             _run(monitor=FleetMonitor(MonitorConfig()), checkpoint=tmp_path / "c.ckpt")
@@ -301,9 +290,6 @@ class TestLazyPool:
         nodes = [pool.nodes[name] for name in names]
         assert pool.nodes.built_count == 4
         assert [node.name for node in nodes] == names
-
-    def test_lazy_and_eager_reports_identical(self):
-        _assert_identical(_run(), _run(eager_pool=True))
 
     def test_lazy_nodes_match_eager_nodes(self):
         from repro.hardware.system import PerlmutterSystem

@@ -327,6 +327,21 @@ class TestRunsCli:
         assert main(["runs", "check", target.run_id]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_default_fleet_fingerprint_is_stable(self, capsys):
+        """Older `repro fleet` records stay comparable for `runs check`.
+
+        The fleet fingerprint hashes the command's settings positionally;
+        this is the value a default run has always recorded, so history
+        and sentinel baselines keep matching new runs.
+        """
+        assert main(["fleet"]) == 0
+        capsys.readouterr()
+        rec = RunLedger().last()
+        assert rec.kind == "fleet"
+        assert rec.fingerprint == (
+            "8d10173ea5e43a2e8158b5d03800532dc5b389aedb054b318e63cdeabac01545"
+        )
+
     def test_show_unknown_ref_errors(self, capsys):
         self.run_schedule()
         capsys.readouterr()

@@ -39,6 +39,10 @@ CASES = [
     (["run", "PdO2", "--cap", "-5"], "power limit -5 W"),
     (["schedule", "--watts-per-node", "0"], "--watts-per-node"),
     (["fleet", "--watts-per-node", "0"], "--watts-per-node"),
+    (["fleet", "--retain-traces"], "--retain-traces"),
+    (["fleet", "--workers", "0"], "--workers"),
+    (["cap-sweep", "PdO2", "--workers", "-2"], "--workers"),
+    (["predict", "PdO2", "--workers", "0"], "--workers"),
     (["run", "NotABenchmark"], "unknown workload"),
     (["fleet", "--scenario", "nope"], "unknown scenario"),
     (["runs", "show", "nope"], "run ledger is empty"),
