@@ -33,6 +33,16 @@ done
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== EXPERIMENTS.md regenerates byte-identical =="
+# The determinism contract: regenerating the record from live experiment
+# runs, in a fresh working directory, reproduces the tracked file.
+REPO="$PWD"
+mkdir "$SMOKE_DIR/experiments"
+(cd "$SMOKE_DIR/experiments" \
+    && PYTHONPATH="$REPO/src" python "$REPO/scripts/make_experiments_md.py")
+cmp "$SMOKE_DIR/experiments/EXPERIMENTS.md" EXPERIMENTS.md \
+    || { echo "regenerated EXPERIMENTS.md differs from the tracked file"; exit 1; }
+
 echo "== golden smoke (fleet-vasp simulated output vs perfbench/golden.json) =="
 # One short perfbench iteration digests every simulated statistic of the
 # headline fleet run and checks it against the pinned golden digests.

@@ -2,9 +2,9 @@
 
 A from-scratch, vectorized KDE (the paper determines the high power mode
 from "the kernel density estimate (KDE) plot of the power timeline data
-distribution").  Supports Silverman's and Scott's bandwidth rules and
-evaluation on arbitrary grids.  ``scipy.stats.gaussian_kde`` is used only
-in the test suite as a cross-check.
+distribution").  Supports Silverman's and Scott's bandwidth rules, exact
+evaluation on arbitrary grids and binned FFT evaluation on even grids.
+``scipy.stats.gaussian_kde`` is used only in the test suite as a cross-check.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+#: Binned evaluation bins onto a grid this many times finer than the
+#: evaluation grid; at 1, a cap-study high power mode moves by 1.8 W.
+BIN_REFINEMENT = 4
+KERNEL_TAIL_BANDWIDTHS = 8.0
 
 
 def _robust_sigma(data: np.ndarray) -> float:
@@ -105,6 +110,44 @@ class GaussianKDE:
 
     __call__ = evaluate
 
+    def evaluate_binned(self, grid) -> np.ndarray:
+        """Density on an evenly spaced ascending grid that contains the data.
+
+        Bins the data linearly onto a grid ``BIN_REFINEMENT`` times finer,
+        convolves it by FFT with the kernel out to ``KERNEL_TAIL_BANDWIDTHS``
+        bandwidths, keeps every ``BIN_REFINEMENT``-th point and clips FFT
+        round-off at 0: O(n + G log G) where :meth:`evaluate` is O(n G).  At
+        grid spacing <= bandwidth/3 the two differ by about 2e-5 of the peak.
+        """
+        grid = np.asarray(grid, dtype=float).ravel()
+        lo, hi = (float(grid[0]), float(grid[-1])) if grid.size > 1 else (0.0, 0.0)
+        step = (hi - lo) / max(grid.size - 1, 1)
+        # linspace rounds each point to within an ulp of its magnitude.
+        slack = 1e-6 * step + 4.0 * float(np.spacing(max(abs(lo), abs(hi))))
+        if not step > 0.0 or np.any(np.abs(np.diff(grid) - step) > slack):
+            raise ValueError("binned evaluation needs an evenly spaced ascending grid")
+        if self.data.min() < lo or self.data.max() > hi:
+            raise ValueError(f"grid [{lo:g}, {hi:g}] does not contain every data point")
+        h = self.bandwidth
+        n_fine = BIN_REFINEMENT * (grid.size - 1) + 1
+        fine_step = step / BIN_REFINEMENT
+        # Each sample splits its weight between the two fine points around
+        # it, in proportion to its distance from the other one.
+        position = np.clip((self.data - lo) / fine_step, 0.0, n_fine - 1)
+        left = np.minimum(position.astype(np.intp), n_fine - 2)
+        right = position - left
+        counts = np.bincount(left, 1.0 - right, n_fine) + np.bincount(left + 1, right, n_fine)
+        # The kernel wraps around index 0 of a circle long enough that no
+        # tail reaches a fine point from the other side.
+        reach = min(int(np.ceil(KERNEL_TAIL_BANDWIDTHS * h / fine_step)), n_fine - 1)
+        size = 1 << (n_fine + reach - 1).bit_length()
+        z = np.arange(reach + 1) * (fine_step / h)
+        kernel = np.zeros(size)
+        kernel[: reach + 1] = np.exp(-0.5 * z * z)
+        kernel[size - reach :] = kernel[reach:0:-1]
+        fine = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel), size)
+        return np.maximum(fine[:n_fine:BIN_REFINEMENT], 0.0) / (self.data.size * h * _SQRT_2PI)
+
     def grid(self, n_points: int = 512, pad_bandwidths: float = 3.0) -> np.ndarray:
         """A natural evaluation grid spanning the data plus kernel tails.
 
@@ -133,4 +176,4 @@ class KdeCurve:
     def of(cls, data, bandwidth: float | str = "silverman", n_grid: int = 1024) -> "KdeCurve":
         kde = GaussianKDE(data, bandwidth=bandwidth)
         grid = kde.grid(n_points=n_grid)
-        return cls(grid, kde.evaluate(grid))
+        return cls(grid, kde.evaluate_binned(grid))

@@ -236,12 +236,6 @@ class ScheduleResult:
         """True when projected power never exceeded the budget."""
         return self.peak_power_w <= self.budget_w + 1e-9
 
-    def mean_wait_s(self) -> float:
-        """Mean queue wait (start - submit is not tracked; start time)."""
-        if not self.records:
-            return 0.0
-        return sum(r.start_s for r in self.records) / len(self.records)
-
     def total_node_seconds(self) -> float:
         """Aggregate node-seconds consumed."""
         return sum(r.runtime_s * r.n_nodes for r in self.records)

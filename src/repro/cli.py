@@ -1824,11 +1824,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
-    except (ValueError, RegistryLookupError) as err:
-        # Bad input (out-of-range values, PowerLimitError, unknown names)
-        # is one error line; any other exception is a bug and propagates.
+    except (ValueError, RegistryLookupError, MemoryError) as err:
+        # Bad input (out-of-range values, PowerLimitError, unknown names, runs
+        # too large to allocate) is one error line; other exceptions propagate.
         run_ledger.finish_run("error")
-        print(f"repro: error: {err}", file=sys.stderr)
+        reason = "out of memory: " if isinstance(err, MemoryError) else ""
+        print(f"repro: error: {reason}{err}", file=sys.stderr)
         return 2
     except Exception:
         run_ledger.finish_run("error")

@@ -86,15 +86,15 @@ class TestCurveHelpersMatchWrappers:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """One entry per ``GaussianKDE.evaluate`` call."""
+    """One entry per ``GaussianKDE.evaluate_binned`` call (what ``KdeCurve.of`` runs)."""
     calls: list[GaussianKDE] = []
-    evaluate = GaussianKDE.evaluate
+    evaluate = GaussianKDE.evaluate_binned
 
     def counted(self, grid):
         calls.append(self)
         return evaluate(self, grid)
 
-    monkeypatch.setattr(GaussianKDE, "evaluate", counted)
+    monkeypatch.setattr(GaussianKDE, "evaluate_binned", counted)
     return calls
 
 

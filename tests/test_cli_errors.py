@@ -7,8 +7,9 @@ either crashed with a traceback (``fleet --nodes 0``, ``fleet --jobs
 -3``) or silently replaced the value with a default and exited 0
 (``cap-sweep --nodes 0``, ``predict --nodes 0``, ``fleet --resolution
 0``, ``monitor --resolution 0``).  Errors raised after parsing (an
-unsupported cap, an unknown workload) go through the one error boundary
-in ``repro.cli.main``; other exception types still propagate.
+unsupported cap, an unknown workload, an allocation the host cannot
+satisfy) go through the one error boundary in ``repro.cli.main``; other
+exception types still propagate.
 """
 
 import os
@@ -82,3 +83,20 @@ def test_unexpected_exception_types_still_raise(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_list", broken)
     with pytest.raises(RuntimeError, match="a bug"):
         cli.main(["list"])
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    # numpy's message for the [P, N, G] resolve array of ``run --nodes 100000``.
+    message = (
+        "Unable to allocate 739. MiB for an array with shape (242, 100000, 4) "
+        "and data type float64"
+    )
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_list", out_of_memory)
+    assert cli.main(["list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"repro: error: out of memory: {message}"]
+    assert captured.out == ""
