@@ -43,6 +43,21 @@ mkdir "$SMOKE_DIR/experiments"
 cmp "$SMOKE_DIR/experiments/EXPERIMENTS.md" EXPERIMENTS.md \
     || { echo "regenerated EXPERIMENTS.md differs from the tracked file"; exit 1; }
 
+echo "== CLI surface (every parser in the command table renders --help) =="
+# Each help runs through the real `python -m repro` entry point: a help
+# string argparse cannot format, or any stderr output, fails the gate.
+mapfile -t CLI_COMMANDS < <(python -c 'from repro.cli import COMMANDS
+for command in COMMANDS: print(command.name)')
+[[ ${#CLI_COMMANDS[@]} -gt 1 ]] || { echo "command table is empty"; exit 1; }
+for name in "${CLI_COMMANDS[@]}"; do
+    read -ra words <<< "$name"
+    if ! python -m repro ${words[@]+"${words[@]}"} --help > /dev/null \
+            2> "$SMOKE_DIR/help.err" || [[ -s "$SMOKE_DIR/help.err" ]]; then
+        echo "repro $name --help failed:"; cat "$SMOKE_DIR/help.err"; exit 1
+    fi
+done
+echo "cli ok: ${#CLI_COMMANDS[@]} parsers render --help"
+
 echo "== golden smoke (fleet-vasp simulated output vs perfbench/golden.json) =="
 # One short perfbench iteration digests every simulated statistic of the
 # headline fleet run and checks it against the pinned golden digests.

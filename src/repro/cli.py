@@ -25,14 +25,13 @@ Installed as ``repro`` (also ``python -m repro``)::
     repro top                          # live dashboard over a running fleet
     repro fleet --jobs 50 --profile p.speedscope  # where the time went
 
-Every executing command (``run``/``survey``/``cap-sweep``/``reproduce``/
-``fleet``/``monitor``/``schedule``/``predict``) also appends one structured
-record —
-config fingerprint, platforms, wall time, energy, cache/dedupe stats,
-alert counts — to the run ledger (``REPRO_RUNS=0`` opts out,
+Every executing command (``run``/``survey``/``cap-sweep``/``predict``/
+``reproduce``/``fleet``/``monitor``/``schedule``) appends one structured
+record — config fingerprint, platforms, wall time, energy, cache/dedupe
+stats, alert counts — to the run ledger (``REPRO_RUNS=0`` opts out,
 ``REPRO_RUNS_DIR`` relocates it); ``repro runs`` queries the history.
 
-Observability flags (``run``/``survey``/``cap-sweep``/``reproduce``):
+The same executing commands take the observability flags:
 ``--trace FILE`` writes a Chrome trace-event JSON of the session,
 ``--metrics FILE`` a Prometheus text exposition (``.json`` for a JSON
 snapshot), ``--profile FILE`` a sampling wall-clock profile
@@ -40,11 +39,16 @@ snapshot), ``--profile FILE`` a sampling wall-clock profile
 report, else collapsed stacks), ``--log-level LEVEL`` configures stdlib
 logging.  The ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` /
 ``REPRO_LOG`` environment variables do the same for library use.
+
+Every parser is built from :data:`COMMANDS`, one record per command;
+options shared across commands (``--nodes``, ``--seed``, ``--platform``,
+...) are declared once and validated at parse time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -52,6 +56,7 @@ import shlex
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.analysis.modes import high_power_mode_w
@@ -149,18 +154,33 @@ ARTIFACTS = {
 }
 
 
+def _efficiency_stats():
+    """This process's used caches, sweep dedupe and surrogate stats.
+
+    Returns (cache stats with lookups, sweep stats or None, surrogate
+    stats or None); the terminal footer and the ledger record both read it.
+    """
+    caches = [
+        stats
+        for stats in (run_cache().stats(), estimate_cache().stats())
+        if stats.lookups
+    ]
+    sweeps = sweep_stats()
+    surro = surrogate_stats()
+    return (
+        caches,
+        sweeps if sweeps.grids else None,
+        surro if surro.predictions or surro.trainings else None,
+    )
+
+
 def _print_efficiency_summary() -> None:
     """One-line cache/dedupe effectiveness footer (reproduce, cap-sweep)."""
-    lines = []
-    for cache in (run_cache(), estimate_cache()):
-        stats = cache.stats()
-        if stats.lookups:
-            lines.append(stats.summary_line())
-    sweeps = sweep_stats()
-    if sweeps.grids:
+    caches, sweeps, surro = _efficiency_stats()
+    lines = [stats.summary_line() for stats in caches]
+    if sweeps is not None:
         lines.append(sweeps.summary_line())
-    surro = surrogate_stats()
-    if surro.predictions:
+    if surro is not None and surro.predictions:
         lines.append(surro.summary_line())
     if lines:
         print()
@@ -168,35 +188,20 @@ def _print_efficiency_summary() -> None:
             print(f"  [{line}]")
 
 
-#: Commands that append a record to the durable run ledger.
-_RECORDED_COMMANDS = {
-    "run",
-    "survey",
-    "cap-sweep",
-    "reproduce",
-    "fleet",
-    "monitor",
-    "schedule",
-    "predict",
-}
-
-
 def _annotate_efficiency() -> None:
     """Fold session cache/dedupe effectiveness into the open ledger draft."""
-    cache_fields = {}
-    for cache in (run_cache(), estimate_cache()):
-        stats = cache.stats()
-        if stats.lookups:
-            cache_fields[stats.name] = {
+    caches, sweeps, surro = _efficiency_stats()
+    fields: dict = {}
+    if caches:
+        fields["cache"] = {
+            stats.name: {
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "hit_rate": round(stats.hit_rate, 4),
             }
-    sweeps = sweep_stats()
-    fields: dict = {}
-    if cache_fields:
-        fields["cache"] = cache_fields
-    if sweeps.grids:
+            for stats in caches
+        }
+    if sweeps is not None:
         fields["sweeps"] = {
             "grids": sweeps.grids,
             "submitted": sweeps.specs_submitted,
@@ -204,8 +209,7 @@ def _annotate_efficiency() -> None:
             "deduped": sweeps.specs_deduped,
             "dedupe_ratio": round(sweeps.dedupe_ratio, 4),
         }
-    surro = surrogate_stats()
-    if surro.predictions or surro.trainings:
+    if surro is not None:
         fields["surrogate"] = {
             "predictions": surro.predictions,
             "hits": surro.hits,
@@ -227,6 +231,11 @@ def _format_age(seconds: float | None) -> str:
     if seconds < 172800:
         return f"{seconds / 3600:.1f} h"
     return f"{seconds / 86400:.1f} d"
+
+
+def _seconds(value: float | None) -> str:
+    """A wall time for a table cell: ``1.23``, or ``-`` when unknown."""
+    return "-" if value is None else f"{value:.2f}"
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -332,16 +341,13 @@ def _split_platforms(value: str | None) -> tuple[str | None, list[str] | None]:
 
     A comma-separated value builds a mixed pool (nodes cycle through the
     listed platforms round-robin); the first entry drives the analytic
-    scheduler and monitor defaults.
+    scheduler and monitor defaults.  :func:`platform_list` has already
+    rejected blank entries.
     """
-    if not value:
+    if value is None:
         return None, None
-    parts = [part.strip() for part in value.split(",") if part.strip()]
-    if not parts:
-        return None, None
-    if len(parts) == 1:
-        return parts[0], None
-    return parts[0], parts
+    parts = [part.strip() for part in value.split(",")]
+    return parts[0], parts if len(parts) > 1 else None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -418,7 +424,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cap_sweep_surrogate(
-    args: argparse.Namespace, workload, n_nodes: int, plat, caps: list[float]
+    args: argparse.Namespace, workload, n_nodes: int, plat, caps: list[float], run_at
 ) -> int:
     """Surrogate fast path: predict the grid, re-simulate only the winner.
 
@@ -426,6 +432,7 @@ def _cap_sweep_surrogate(
     points fall back to the engine); the winner — lowest predicted
     energy/node within the slowdown limit — is then re-simulated exactly
     and the surrogate-vs-exact energy error reported alongside it.
+    ``run_at(gpu_cap_w=...)`` runs one exact point of this sweep.
     """
     with obs.span("cli.cap_sweep_surrogate", benchmark=workload.name):
         surrogate = load_or_train(workers=args.workers)
@@ -447,9 +454,7 @@ def _cap_sweep_surrogate(
         predictions[0].runtime_s if predictions[0] is not None else None
     )
     if base_runtime is None:
-        base_runtime = run_workload(
-            workload, n_nodes=n_nodes, seed=args.seed, platform=args.platform
-        ).runtime_s
+        base_runtime = run_at().runtime_s
     rows = []
     # cap -> (runtime_s, energy_per_node_j, slowdown, source)
     table: dict[float, tuple[float, float, float, str]] = {}
@@ -459,13 +464,7 @@ def _cap_sweep_surrogate(
             table[cap] = (pred.runtime_s, pred.energy_per_node_j, pred.slowdown, "surrogate")
         else:
             # Outside the trained envelope: run this point exactly.
-            measured = run_workload(
-                workload,
-                n_nodes=n_nodes,
-                gpu_cap_w=cap,
-                seed=args.seed,
-                platform=args.platform,
-            )
+            measured = run_at(gpu_cap_w=cap)
             gpu_hpm = high_power_mode_w(measured.telemetry[0].gpu_power(0))
             table[cap] = (
                 measured.runtime_s,
@@ -504,13 +503,7 @@ def _cap_sweep_surrogate(
         winner = min(caps, key=lambda c: table[c][2])
         note = f" (no cap met slowdown <= {args.slowdown_limit:g}; least-slow shown)"
     runtime_s, energy_j, slowdown, source = table[winner]
-    measured = run_workload(
-        workload,
-        n_nodes=n_nodes,
-        gpu_cap_w=winner,
-        seed=args.seed,
-        platform=args.platform,
-    )
+    measured = run_at(gpu_cap_w=winner)
     exact_energy_j = measured.result.total_energy_j() / n_nodes
     error = abs(energy_j - exact_energy_j) / exact_energy_j
     obs.observe("repro_surrogate_winner_error", error)
@@ -568,8 +561,11 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
             0.50 * spec.tdp_w,
             max(0.25 * spec.tdp_w, spec.cap_min_w),
         ]
+    run_at = functools.partial(
+        run_workload, workload, n_nodes=n_nodes, seed=args.seed, platform=args.platform
+    )
     if args.surrogate and not surrogate_disabled():
-        return _cap_sweep_surrogate(args, workload, n_nodes, plat, caps)
+        return _cap_sweep_surrogate(args, workload, n_nodes, plat, caps, run_at)
     monitor = None
     if args.monitor or monitoring_requested():
         monitor = FleetMonitor(
@@ -580,13 +576,7 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
     base = None
     clock = 0.0
     for cap in caps:
-        measured = run_workload(
-            workload,
-            n_nodes=n_nodes,
-            gpu_cap_w=cap,
-            seed=args.seed,
-            platform=args.platform,
-        )
+        measured = run_at(gpu_cap_w=cap)
         gpu_hpm = high_power_mode_w(measured.telemetry[0].gpu_power(0))
         if base is None:
             base = measured.runtime_s
@@ -730,7 +720,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     status = obs.status()
-    if args.json_status:
+    if args.json_out:
         status = dict(status)
         status["monitor"] = monitor_state()
         status["ledger"] = run_ledger.ledger_state()
@@ -849,11 +839,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         platform_value = ",".join(scenario.platforms)
     budget = None if args.watts_per_node is None else args.watts_per_node * n_nodes
     platform, node_platforms = _split_platforms(platform_value)
-    engine_config = (
-        EngineConfig(base_interval_s=args.resolution)
-        if args.resolution is not None
-        else None
-    )
     monitors = None
     if args.monitor or monitoring_requested():
         monitors = (
@@ -868,7 +853,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.seed,
             bin_s=args.bin_s,
             chunk_samples=args.chunk,
-            engine_config=engine_config,
+            engine_config=EngineConfig(base_interval_s=args.resolution),
             monitors=monitors,
             platform=platform,
             node_platforms=node_platforms,
@@ -974,11 +959,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         alert_log=args.alert_log,
     )
     monitor = FleetMonitor(config, label=policy_name)
-    engine_config = (
-        EngineConfig(base_interval_s=args.resolution)
-        if args.resolution is not None
-        else None
-    )
     jobs = job_stream(n_jobs=args.jobs, seed=args.seed)
     with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
         simulate_fleet_traced(
@@ -987,7 +967,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             policy_name,
             n_nodes=args.nodes,
             power_budget_w=budget,
-            engine_config=engine_config,
+            engine_config=EngineConfig(base_interval_s=args.resolution),
             seed=args.seed,
             monitor=monitor,
             platform=platform,
@@ -1048,8 +1028,14 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         if args.json_out:
             print(json.dumps([record.to_json() for record in selected], indent=2))
             return 0
-        if not selected:
+        if not records:
             print(f"run ledger is empty ({ledger.path})")
+            return 0
+        if not selected:
+            print(
+                f"no run of kind {args.kind!r} among {len(records)} record(s) "
+                f"in {ledger.path}; the filtered list is empty"
+            )
             return 0
         rows = []
         for record in reversed(selected):
@@ -1061,7 +1047,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                     record.run_id,
                     record.kind,
                     record.status,
-                    f"{record.wall_s:.2f}" if record.wall_s is not None else "-",
+                    _seconds(record.wall_s),
                     _format_age(record.age_s),
                     label,
                 ]
@@ -1175,11 +1161,7 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
                         if base.wall_median_s is not None
                         else "-"
                     ),
-                    (
-                        f"{row.latest_wall_s:.2f}"
-                        if row.latest_wall_s is not None
-                        else "-"
-                    ),
+                    _seconds(row.latest_wall_s),
                     shift,
                     row.verdict,
                 ]
@@ -1223,16 +1205,8 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
                     base.fingerprint[:10],
                     base.kind,
                     str(base.runs),
-                    (
-                        f"{base.wall_median_s:.2f}"
-                        if base.wall_median_s is not None
-                        else "-"
-                    ),
-                    (
-                        f"{base.wall_sigma_s:.2f}"
-                        if base.wall_sigma_s is not None
-                        else "-"
-                    ),
+                    _seconds(base.wall_median_s),
+                    _seconds(base.wall_sigma_s),
                     base.label[:42],
                 ]
                 for base in baselines
@@ -1263,527 +1237,326 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"repro: error: {message}\n")
 
 
-def _positive(kind: type):
-    """argparse type for a finite number > 0 of ``kind`` (int or float)."""
-    noun = "integer" if kind is int else "number"
+@dataclass(frozen=True)
+class Number:
+    """argparse type: a finite ``kind`` (int or float) within ``bound``.
 
-    def parse(text: str):
+    ``bound`` is ``"finite"``, ``"non-negative"`` or ``"positive"``; a
+    rejected value becomes one ``repro: error: argument --flag: ...`` line.
+    """
+
+    kind: type
+    bound: str = "finite"
+
+    def __call__(self, text: str):
         try:
-            value = kind(text)
+            value = self.kind(text)
         except ValueError:
             value = None
-        if value is None or not (math.isfinite(value) and value > 0):
+        # Every int is finite; math.isfinite would overflow on a huge one.
+        ok = value is not None and (self.kind is int or math.isfinite(value))
+        if ok and self.bound != "finite":
+            ok = value > 0 if self.bound == "positive" else value >= 0
+        if not ok:
+            noun = "integer" if self.kind is int else "number"
             raise argparse.ArgumentTypeError(
-                f"expected a positive {noun}, got {text!r}"
+                f"expected a {self.bound} {noun}, got {text!r}"
             )
         return value
 
-    return parse
+
+POSITIVE_INT, NON_NEGATIVE_INT = Number(int, "positive"), Number(int, "non-negative")
+POSITIVE, NON_NEGATIVE, FINITE = (
+    Number(float, "positive"), Number(float, "non-negative"), Number(float)
+)
+
+
+def platform_list(text: str) -> str:
+    """argparse type for ``--platform``: one id, or comma-separated ids.
+
+    Blank entries are an error, not the default platform.  The text comes
+    back unchanged because ledger fingerprints hash it as given.
+    """
+    if not all(part.strip() for part in text.split(",")):
+        raise argparse.ArgumentTypeError(
+            f"expected platform id(s) separated by commas, got {text!r}"
+        )
+    return text
+
+
+@dataclass(frozen=True)
+class Option:
+    """One argument: its flags, help text and other ``add_argument`` settings."""
+
+    flags: tuple[str, ...]
+    settings: dict
+    help: str | None = None
+
+    def but(self, *, default=None, help: str | None = None, alias: str = ""):
+        """This option with another default or help text (or the one alias)."""
+        settings = dict(self.settings)
+        if default is not None:
+            settings["default"] = default
+        flags = self.flags + ((alias,) if alias else ())
+        return replace(self, flags=flags, settings=settings, help=help or self.help)
+
+
+def _opt(*flags: str, help: str | None = None, **settings) -> Option:
+    return Option(flags, settings, help)
+
+
+# Options shared across commands, each declared once.  Help may name
+# {platforms}, {default_platform}, {models} or {scenarios}: build_parser
+# fills them in from the registries.
+WORKLOAD = _opt("benchmark", metavar="workload",
+                help="Table I benchmark name (e.g. Si256_hse) or workload-model "
+                "reference model[:variant] (models: {models}; see `repro workloads`)")
+NODES = _opt("--nodes", type=POSITIVE_INT, default=None)
+JOBS = _opt("--jobs", type=POSITIVE_INT, default=None, help="jobs in the stream")
+SEED = _opt("--seed", type=NON_NEGATIVE_INT, default=7)
+CAP = _opt("--cap", type=FINITE, default=None, help="GPU power cap in W")
+PLATFORM = _opt("--platform", type=platform_list, default=None, metavar="ID",
+                help="hardware platform ({platforms}; default {default_platform})")
+PLATFORMS = PLATFORM.but(
+    help=f"{PLATFORM.help}; comma-separate several for a mixed pool (round-robin)"
+)
+WORKERS = _opt("--workers", type=POSITIVE_INT, default=None, metavar="N",
+               help="corpus-build workers if the surrogate must train first")
+WATTS_PER_NODE = _opt("--watts-per-node", type=POSITIVE, default=None,
+                      help="facility power budget per node (default: unbounded)")
+RESOLUTION = _opt("--resolution", type=POSITIVE, default=1.0, metavar="SECONDS",
+                  help="trace sample interval (coarser = faster; 0.1 matches the paper)")
+MONITOR = _opt("--monitor", action="store_true",
+               help="attach a live health monitor per policy and print its dashboard")
+KIND = _opt("--kind", default=None, help="filter by command kind")
+JSON = _opt("--json", dest="json_out", action="store_true", help="emit JSON records")
+REF = _opt("ref", nargs="?", default="last", help="run id prefix or 'last'")
+TOLERANCE = _opt("--tolerance", type=NON_NEGATIVE, default=sentinel.DEFAULT_TOLERANCE,
+                 metavar="FRACTION", help="relative slowdown tolerated vs the baseline "
+                 f"median (default {sentinel.DEFAULT_TOLERANCE:+.0%})")
+MIN_HISTORY = _opt("--min-history", type=NON_NEGATIVE_INT, metavar="N",
+                   default=sentinel.DEFAULT_MIN_HISTORY,
+                   help="comparable runs required before statistical checks judge "
+                   f"(default {sentinel.DEFAULT_MIN_HISTORY})")
+DRIFT_GATE = _opt("--drift-gate", type=NON_NEGATIVE, default=sentinel.DEFAULT_DRIFT_GATE,
+                  metavar="MAPE", help="surrogate verification-error ceiling "
+                  f"(default {sentinel.DEFAULT_DRIFT_GATE:.0%})")
+ALERT_LOG = _opt("--alert-log", default=None, metavar="FILE",
+                 help="write alert lifecycle events as JSON lines "
+                 f"(or ${MONITOR_LOG_ENV})")
+HEARTBEAT = _opt("--heartbeat", default=None, metavar="PATH",
+                 help="publish live progress (jobs folded, nodes/sec, ETA, checkpoint "
+                 "age) to PATH(.capped/.uncapped) as atomically-replaced JSON; "
+                 f"default: {HEARTBEAT_ENV}")
+#: The observability group of every executing command.
+OBSERVABILITY = (
+    _opt("--trace", default=None, metavar="FILE",
+         help="write a Chrome trace-event JSON (chrome://tracing / Perfetto)"),
+    _opt("--metrics", default=None, metavar="FILE",
+         help="write collected metrics (Prometheus text; .json for a snapshot)"),
+    _opt("--profile", default=None, metavar="FILE",
+         help="sample wall-clock stacks into FILE (.json/.speedscope for speedscope, "
+         ".txt for a top-functions report, else collapsed stacks)"),
+    _opt("--log-level", default=None, metavar="LEVEL",
+         help="configure stdlib logging (debug/info/warning/error)"),
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One parser: ``name`` is ``""`` for the root, ``"runs list"`` for a subcommand.
+
+    ``handler`` names the ``_cmd_*`` function, looked up when the parser
+    is built so a test can substitute it.  An ``executing`` command takes
+    the observability flags and appends a record to the run ledger.
+    """
+
+    name: str
+    help: str
+    handler: str | None = None
+    options: tuple[Option, ...] = ()
+    executing: bool = False
+
+
+#: Every parser, the root first; a subcommand's record follows its parent's.
+COMMANDS = (
+    Command("", "Reproduction toolkit for 'Understanding VASP Power Profiles "
+            "on NVIDIA A100 GPUs' (SC 2024)."),
+    Command("list", "list benchmarks and artifacts", "_cmd_list"),
+    Command("platforms", "list registered hardware platforms", "_cmd_platforms"),
+    Command("workloads", "list registered workload models and fleet scenarios",
+            "_cmd_workloads"),
+    Command("run", "run one benchmark and print power stats", "_cmd_run", (
+        WORKLOAD, NODES.but(default=1), CAP, SEED,
+        _opt("--export-trace", default=None, help="write ground truth CSV"),
+        PLATFORM,
+    ), executing=True),
+    Command("survey", "profile all seven benchmarks", "_cmd_survey",
+            (NODES.but(default=1), SEED), executing=True),
+    Command("cap-sweep", "power-cap response of a benchmark", "_cmd_cap_sweep", (
+        WORKLOAD, NODES,
+        _opt("--caps", type=FINITE, nargs="+", default=None,
+             help="cap grid in W (default: platform TDP down to its cap floor)"),
+        SEED,
+        MONITOR.but(help="replay each sweep point through the fleet health monitor"),
+        _opt("--surrogate", action="store_true",
+             help="fast path: score the cap grid through the trained surrogate, "
+             "re-simulate only the winner exactly"),
+        _opt("--slowdown-limit", type=POSITIVE, default=1.25, metavar="FACTOR",
+             help="max acceptable slowdown when picking the winner (--surrogate)"),
+        WORKERS, PLATFORM,
+    ), executing=True),
+    Command("predict", "surrogate prediction for a benchmark (no engine run)",
+            "_cmd_predict", (
+        WORKLOAD, NODES, CAP, SEED, WORKERS,
+        _opt("--exact", action="store_true",
+             help="also run the engine and report the surrogate's errors"),
+        PLATFORM,
+    ), executing=True),
+    Command("reproduce", "regenerate a paper artifact", "_cmd_reproduce", (
+        _opt("artifact", choices=sorted(ARTIFACTS)),
+        # Takes a file, unlike the boolean --json of the query commands.
+        _opt("--json", default=None, help="also export result data"),
+    ), executing=True),
+    Command("fleet", "trace-streamed fleet simulation (capped vs uncapped)",
+            "_cmd_fleet", (
+        JOBS.but(help="jobs in the stream (default: 24, or the scenario's count)"),
+        NODES.but(help="node pool size (default: 16, or the scenario's pool)"),
+        _opt("--scenario", default=None, metavar="NAME",
+             help="replay a named fleet scenario (arrival process, workload mix, "
+             "pool, failures) instead of the default stream: {scenarios} "
+             "(see `repro workloads`)"),
+        SEED.but(default=0), WATTS_PER_NODE,
+        _opt("--bin-s", type=POSITIVE, default=1.0, help="system power bin width in s"),
+        _opt("--chunk", type=POSITIVE_INT, default=None, metavar="SAMPLES",
+             help="streaming chunk size in samples (default: engine default)"),
+        RESOLUTION, MONITOR,
+        WORKERS.but(help="shard job rendering across N worker processes "
+                    f"(bit-identical to serial; default: {WORKERS_ENV} or 1)"),
+        _opt("--checkpoint", default=None, metavar="PATH",
+             help="periodically snapshot the aggregation state to "
+             f"PATH(.capped/.uncapped); default: {CHECKPOINT_ENV}"),
+        _opt("--checkpoint-every", type=POSITIVE_INT, default=64, metavar="JOBS",
+             help="jobs between checkpoint snapshots (default: 64)"),
+        _opt("--resume", action="store_true",
+             help="resume from the checkpoint if present (bit-identical restart)"),
+        HEARTBEAT, PLATFORMS,
+    ), executing=True),
+    Command("monitor", "monitored fleet run: health signals, alerts, energy report",
+            "_cmd_monitor", (
+        JOBS.but(default=24), NODES.but(default=16, help="node pool size"),
+        SEED.but(default=0),
+        _opt("--policy", choices=("capped", "uncapped"), default="capped",
+             help="cap policy for the run (default: the 50%-of-TDP policy)"),
+        WATTS_PER_NODE, RESOLUTION,
+        _opt("--window", type=POSITIVE_INT, default=None, metavar="SAMPLES",
+             help=f"per-node ring-buffer window (default: ${MONITOR_WINDOW_ENV} or 512)"),
+        ALERT_LOG,
+        _opt("--report-json", default=None, metavar="FILE",
+             help="write the full monitor report (signals, alerts, energy) as JSON"),
+        PLATFORMS,
+    ), executing=True),
+    Command("schedule", "run the power-aware scheduling study", "_cmd_schedule", (
+        NODES.but(default=16),
+        WATTS_PER_NODE.but(
+            default=900.0, help="facility power budget per node (default: 900)"
+        ),
+        _opt("--copies", type=POSITIVE_INT, default=2),
+    ), executing=True),
+    Command("obs", "show observability configuration and status", "_cmd_obs",
+            (JSON.but(help="emit JSON status"),)),
+    Command("runs", "query the durable run ledger (.repro_runs/)"),
+    Command("runs list", "list recorded runs, newest first", "_cmd_runs", (
+        KIND,
+        _opt("--limit", type=POSITIVE_INT, default=20,
+             help="show at most N records (default 20)"),
+        JSON,
+    )),
+    Command("runs show", "print one run's full JSON record", "_cmd_runs", (REF,)),
+    Command("runs last", "print the most recent record", "_cmd_runs"),
+    Command("runs diff", "changed configuration/outcome fields between two runs",
+            "_cmd_runs", (
+        _opt("ref_a", help="run id prefix or 'last'"),
+        _opt("ref_b", nargs="?", default="last"),
+    )),
+    Command("runs check", "regression-check a run against its ledger history",
+            "_cmd_runs", (
+        REF,
+        TOLERANCE.but(alias="--threshold", help="relative wall-time slowdown "
+                      "tolerated vs the robust baseline median "
+                      f"(default {sentinel.DEFAULT_TOLERANCE:+.0%})"),
+        MIN_HISTORY,
+    )),
+    Command("sentinel", "regression sentinel over the run ledger (baselines, drift)"),
+    Command("sentinel check",
+            "judge one run against its robust baseline (CI-gateable exit)",
+            "_cmd_sentinel", (REF, TOLERANCE, MIN_HISTORY, DRIFT_GATE)),
+    Command("sentinel report", "per-fingerprint health: baseline, change point, "
+            "verdict", "_cmd_sentinel", (
+        KIND, JSON.but(help="emit JSON rows"), TOLERANCE, MIN_HISTORY, DRIFT_GATE,
+    )),
+    Command("sentinel baseline", "the mined per-fingerprint baselines", "_cmd_sentinel",
+            (KIND, JSON.but(help="emit JSON baselines"))),
+    Command("top", "live dashboard over a running fleet (heartbeats, alerts, ETA)",
+            "_cmd_top", (
+        HEARTBEAT.but(help=f"heartbeat base path (default: {HEARTBEAT_ENV})"),
+        ALERT_LOG.but(help=f"monitor alert JSON-lines log (default: {MONITOR_LOG_ENV})"),
+        _opt("--metrics-file", default=None, metavar="FILE",
+             help="exported metrics .json snapshot to display"),
+        _opt("--interval", type=POSITIVE, default=1.0, metavar="SECONDS",
+             help="refresh period (default 1.0)"),
+        _opt("--duration", type=POSITIVE, default=None, metavar="SECONDS",
+             help="stop after this long even if the run is still going"),
+        _opt("--once", action="store_true", help="render a single frame and exit"),
+        JSON.but(help="emit the raw snapshot as JSON instead of rendering"),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
-    positive_int = _positive(int)
-    positive_float = _positive(float)
-    parser = _Parser(
-        prog="repro",
-        description="Reproduction toolkit for 'Understanding VASP Power "
-        "Profiles on NVIDIA A100 GPUs' (SC 2024).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The CLI argument parser, one (sub)parser per :data:`COMMANDS` record."""
+    # Registry listings are read here, not at import, so `import repro.cli`
+    # stays cheap.
+    listings = {
+        "platforms": ", ".join(platform_ids()),
+        "default_platform": DEFAULT_PLATFORM_ID,
+        "models": ", ".join(workload_model_ids()),
+        "scenarios": ", ".join(scenario_ids()),
+    }
 
-    # Observability flags shared by the executing subcommands.
-    obs_flags = argparse.ArgumentParser(add_help=False)
-    obs_group = obs_flags.add_argument_group("observability")
-    obs_group.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a Chrome trace-event JSON (chrome://tracing / Perfetto)",
-    )
-    obs_group.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="write collected metrics (Prometheus text; .json for a snapshot)",
-    )
-    obs_group.add_argument(
-        "--profile",
-        default=None,
-        metavar="FILE",
-        help=(
-            "sample wall-clock stacks into FILE (.json/.speedscope for "
-            "speedscope, .txt for a top-functions report, else collapsed "
-            "stacks)"
-        ),
-    )
-    obs_group.add_argument(
-        "--log-level",
-        default=None,
-        metavar="LEVEL",
-        help="configure stdlib logging (debug/info/warning/error)",
-    )
+    def help_text(text: str | None) -> str | None:
+        # argparse %-formats help strings, so a literal % is doubled.
+        return text and text.format_map(listings).replace("%", "%%")
 
-    sub.add_parser("list", help="list benchmarks and artifacts").set_defaults(
-        func=_cmd_list
-    )
+    def add(target, option: Option) -> None:
+        target.add_argument(*option.flags, help=help_text(option.help), **option.settings)
 
-    sub.add_parser(
-        "platforms", help="list registered hardware platforms"
-    ).set_defaults(func=_cmd_platforms)
-
-    sub.add_parser(
-        "workloads", help="list registered workload models and fleet scenarios"
-    ).set_defaults(func=_cmd_workloads)
-
-    workload_help = (
-        "Table I benchmark name (e.g. Si256_hse) or workload-model "
-        f"reference model[:variant] (models: {', '.join(workload_model_ids())}; "
-        "see `repro workloads`)"
-    )
-
-    def add_platform_flag(p: argparse.ArgumentParser, mixed: bool = False) -> None:
-        extra = (
-            "; comma-separate several for a mixed pool (round-robin)"
-            if mixed
-            else ""
-        )
-        p.add_argument(
-            "--platform",
-            default=None,
-            metavar="ID",
-            help=(
-                f"hardware platform ({', '.join(platform_ids())}; "
-                f"default {DEFAULT_PLATFORM_ID}){extra}"
-            ),
-        )
-
-    p_run = sub.add_parser(
-        "run", help="run one benchmark and print power stats", parents=[obs_flags]
-    )
-    p_run.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_run.add_argument("--nodes", type=positive_int, default=1)
-    p_run.add_argument("--cap", type=float, default=None, help="GPU power cap in W")
-    p_run.add_argument("--seed", type=int, default=7)
-    p_run.add_argument("--export-trace", default=None, help="write ground truth CSV")
-    add_platform_flag(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_survey = sub.add_parser(
-        "survey", help="profile all seven benchmarks", parents=[obs_flags]
-    )
-    p_survey.add_argument("--nodes", type=int, default=1)
-    p_survey.add_argument("--seed", type=int, default=7)
-    p_survey.set_defaults(func=_cmd_survey)
-
-    p_sweep = sub.add_parser(
-        "cap-sweep", help="power-cap response of a benchmark", parents=[obs_flags]
-    )
-    p_sweep.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_sweep.add_argument("--nodes", type=positive_int, default=None)
-    p_sweep.add_argument(
-        "--caps",
-        type=float,
-        nargs="+",
-        default=None,
-        help="cap grid in W (default: platform TDP down to its cap floor)",
-    )
-    p_sweep.add_argument("--seed", type=int, default=7)
-    p_sweep.add_argument(
-        "--monitor",
-        action="store_true",
-        help="replay each sweep point through the fleet health monitor",
-    )
-    p_sweep.add_argument(
-        "--surrogate",
-        action="store_true",
-        help=(
-            "fast path: score the cap grid through the trained surrogate, "
-            "re-simulate only the winner exactly"
-        ),
-    )
-    p_sweep.add_argument(
-        "--slowdown-limit",
-        type=float,
-        default=1.25,
-        metavar="FACTOR",
-        help="max acceptable slowdown when picking the winner (--surrogate)",
-    )
-    p_sweep.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="corpus-build workers if the surrogate must train first",
-    )
-    add_platform_flag(p_sweep)
-    p_sweep.set_defaults(func=_cmd_cap_sweep)
-
-    p_predict = sub.add_parser(
-        "predict",
-        help="surrogate prediction for a benchmark (no engine run)",
-        parents=[obs_flags],
-    )
-    p_predict.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_predict.add_argument("--nodes", type=positive_int, default=None)
-    p_predict.add_argument(
-        "--cap", type=float, default=None, help="GPU power cap in W"
-    )
-    p_predict.add_argument("--seed", type=int, default=7)
-    p_predict.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="corpus-build workers if the surrogate must train first",
-    )
-    p_predict.add_argument(
-        "--exact",
-        action="store_true",
-        help="also run the engine and report the surrogate's errors",
-    )
-    add_platform_flag(p_predict)
-    p_predict.set_defaults(func=_cmd_predict)
-
-    p_repro = sub.add_parser(
-        "reproduce", help="regenerate a paper artifact", parents=[obs_flags]
-    )
-    p_repro.add_argument("artifact", choices=sorted(ARTIFACTS))
-    p_repro.add_argument("--json", default=None, help="also export result data")
-    p_repro.set_defaults(func=_cmd_reproduce)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="trace-streamed fleet simulation (capped vs uncapped)",
-        parents=[obs_flags],
-    )
-    p_fleet.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=None,
-        help="jobs in the stream (default: 24, or the scenario's count)",
-    )
-    p_fleet.add_argument(
-        "--nodes",
-        type=positive_int,
-        default=None,
-        help="node pool size (default: 16, or the scenario's pool)",
-    )
-    p_fleet.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME",
-        help=(
-            "replay a named fleet scenario (arrival process, workload mix, "
-            f"pool, failures) instead of the default stream: "
-            f"{', '.join(scenario_ids())} (see `repro workloads`)"
-        ),
-    )
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument(
-        "--watts-per-node",
-        type=positive_float,
-        default=None,
-        help="facility power budget per node (default: unbounded)",
-    )
-    p_fleet.add_argument(
-        "--bin-s", type=float, default=1.0, help="system power bin width in s"
-    )
-    p_fleet.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        metavar="SAMPLES",
-        help="streaming chunk size in samples (default: engine default)",
-    )
-    p_fleet.add_argument(
-        "--resolution",
-        type=positive_float,
-        default=1.0,
-        metavar="SECONDS",
-        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
-    )
-    p_fleet.add_argument(
-        "--monitor",
-        action="store_true",
-        help="attach a live health monitor per policy and print its dashboard",
-    )
-    p_fleet.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard job rendering across N worker processes "
-            "(bit-identical to serial; default: REPRO_SWEEP_WORKERS or 1)"
-        ),
-    )
-    p_fleet.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help=(
-            "periodically snapshot the aggregation state to PATH(.capped/"
-            ".uncapped); default: REPRO_FLEET_CHECKPOINT"
-        ),
-    )
-    p_fleet.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=64,
-        metavar="JOBS",
-        help="jobs between checkpoint snapshots (default: 64)",
-    )
-    p_fleet.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint if present (bit-identical restart)",
-    )
-    p_fleet.add_argument(
-        "--heartbeat",
-        default=None,
-        metavar="PATH",
-        help=(
-            "publish live progress (jobs folded, nodes/sec, ETA, checkpoint "
-            "age) to PATH(.capped/.uncapped) as atomically-replaced JSON; "
-            "default: REPRO_FLEET_HEARTBEAT"
-        ),
-    )
-    add_platform_flag(p_fleet, mixed=True)
-    p_fleet.set_defaults(func=_cmd_fleet)
-
-    p_monitor = sub.add_parser(
-        "monitor",
-        help="monitored fleet run: health signals, alerts, energy report",
-        parents=[obs_flags],
-    )
-    p_monitor.add_argument(
-        "--jobs", type=positive_int, default=24, help="jobs in the stream"
-    )
-    p_monitor.add_argument(
-        "--nodes", type=positive_int, default=16, help="node pool size"
-    )
-    p_monitor.add_argument("--seed", type=int, default=0)
-    p_monitor.add_argument(
-        "--policy",
-        choices=("capped", "uncapped"),
-        default="capped",
-        help="cap policy for the run (default: the 50%%-of-TDP policy)",
-    )
-    p_monitor.add_argument(
-        "--watts-per-node",
-        type=positive_float,
-        default=None,
-        help="facility power budget per node (default: unbounded)",
-    )
-    p_monitor.add_argument(
-        "--resolution",
-        type=positive_float,
-        default=1.0,
-        metavar="SECONDS",
-        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
-    )
-    p_monitor.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="SAMPLES",
-        help=f"per-node ring-buffer window (default: ${MONITOR_WINDOW_ENV} or 512)",
-    )
-    p_monitor.add_argument(
-        "--alert-log",
-        default=None,
-        metavar="FILE",
-        help=f"write alert lifecycle events as JSON lines (or ${MONITOR_LOG_ENV})",
-    )
-    p_monitor.add_argument(
-        "--report-json",
-        default=None,
-        metavar="FILE",
-        help="write the full monitor report (signals, alerts, energy) as JSON",
-    )
-    add_platform_flag(p_monitor, mixed=True)
-    p_monitor.set_defaults(func=_cmd_monitor)
-
-    p_sched = sub.add_parser("schedule", help="run the power-aware scheduling study")
-    p_sched.add_argument("--nodes", type=int, default=16)
-    p_sched.add_argument("--watts-per-node", type=positive_float, default=900.0)
-    p_sched.add_argument("--copies", type=int, default=2)
-    p_sched.set_defaults(func=_cmd_schedule)
-
-    p_obs = sub.add_parser(
-        "obs", help="show observability configuration and status"
-    )
-    p_obs.add_argument(
-        "--json", dest="json_status", action="store_true", help="emit JSON status"
-    )
-    p_obs.set_defaults(func=_cmd_obs)
-
-    p_runs = sub.add_parser(
-        "runs", help="query the durable run ledger (.repro_runs/)"
-    )
-    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-    r_list = runs_sub.add_parser("list", help="list recorded runs, newest first")
-    r_list.add_argument("--kind", default=None, help="filter by command kind")
-    r_list.add_argument(
-        "--limit", type=int, default=20, help="show at most N records (default 20)"
-    )
-    r_list.add_argument(
-        "--json", dest="json_out", action="store_true", help="emit JSON records"
-    )
-    r_list.set_defaults(func=_cmd_runs)
-    r_show = runs_sub.add_parser("show", help="print one run's full JSON record")
-    r_show.add_argument(
-        "ref", nargs="?", default="last", help="run id prefix or 'last'"
-    )
-    r_show.set_defaults(func=_cmd_runs)
-    r_last = runs_sub.add_parser("last", help="print the most recent record")
-    r_last.set_defaults(func=_cmd_runs)
-    r_diff = runs_sub.add_parser(
-        "diff", help="changed configuration/outcome fields between two runs"
-    )
-    r_diff.add_argument("ref_a", help="run id prefix or 'last'")
-    r_diff.add_argument("ref_b", nargs="?", default="last")
-    r_diff.set_defaults(func=_cmd_runs)
-    r_check = runs_sub.add_parser(
-        "check", help="regression-check a run against its ledger history"
-    )
-    r_check.add_argument("ref", nargs="?", default="last")
-    r_check.add_argument(
-        "--tolerance",
-        "--threshold",
-        dest="tolerance",
-        type=float,
-        default=sentinel.DEFAULT_TOLERANCE,
-        metavar="FRACTION",
-        help=(
-            "relative wall-time slowdown tolerated vs the robust baseline "
-            f"median (default {sentinel.DEFAULT_TOLERANCE:+.0%})"
-        ),
-    )
-    r_check.add_argument(
-        "--min-history",
-        type=int,
-        default=sentinel.DEFAULT_MIN_HISTORY,
-        metavar="N",
-        help=(
-            "comparable runs required before statistical checks judge "
-            f"(default {sentinel.DEFAULT_MIN_HISTORY})"
-        ),
-    )
-    r_check.set_defaults(func=_cmd_runs)
-
-    p_sentinel = sub.add_parser(
-        "sentinel",
-        help="regression sentinel over the run ledger (baselines, drift)",
-    )
-    sentinel_sub = p_sentinel.add_subparsers(
-        dest="sentinel_command", required=True
-    )
-
-    def add_sentinel_gates(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=sentinel.DEFAULT_TOLERANCE,
-            metavar="FRACTION",
-            help=(
-                "relative slowdown tolerated vs the baseline median "
-                f"(default {sentinel.DEFAULT_TOLERANCE:+.0%})"
-            ),
-        )
-        p.add_argument(
-            "--min-history",
-            type=int,
-            default=sentinel.DEFAULT_MIN_HISTORY,
-            metavar="N",
-            help=(
-                "comparable runs required before statistical checks judge "
-                f"(default {sentinel.DEFAULT_MIN_HISTORY})"
-            ),
-        )
-        p.add_argument(
-            "--drift-gate",
-            type=float,
-            default=sentinel.DEFAULT_DRIFT_GATE,
-            metavar="MAPE",
-            help=(
-                "surrogate verification-error ceiling "
-                f"(default {sentinel.DEFAULT_DRIFT_GATE:.0%})"
-            ),
-        )
-
-    s_check = sentinel_sub.add_parser(
-        "check",
-        help="judge one run against its robust baseline (CI-gateable exit)",
-    )
-    s_check.add_argument("ref", nargs="?", default="last")
-    add_sentinel_gates(s_check)
-    s_check.set_defaults(func=_cmd_sentinel)
-    s_report = sentinel_sub.add_parser(
-        "report", help="per-fingerprint health: baseline, change point, verdict"
-    )
-    s_report.add_argument("--kind", default=None, help="filter by command kind")
-    s_report.add_argument(
-        "--json", dest="json_out", action="store_true", help="emit JSON rows"
-    )
-    add_sentinel_gates(s_report)
-    s_report.set_defaults(func=_cmd_sentinel)
-    s_baseline = sentinel_sub.add_parser(
-        "baseline", help="the mined per-fingerprint baselines"
-    )
-    s_baseline.add_argument("--kind", default=None, help="filter by command kind")
-    s_baseline.add_argument(
-        "--json", dest="json_out", action="store_true", help="emit JSON baselines"
-    )
-    s_baseline.set_defaults(func=_cmd_sentinel)
-
-    p_top = sub.add_parser(
-        "top",
-        help="live dashboard over a running fleet (heartbeats, alerts, ETA)",
-    )
-    p_top.add_argument(
-        "--heartbeat",
-        default=None,
-        metavar="FILE",
-        help="heartbeat base path (default: REPRO_FLEET_HEARTBEAT)",
-    )
-    p_top.add_argument(
-        "--alert-log",
-        default=None,
-        metavar="FILE",
-        help="monitor alert JSON-lines log (default: REPRO_MONITOR_LOG)",
-    )
-    p_top.add_argument(
-        "--metrics-file",
-        default=None,
-        metavar="FILE",
-        help="exported metrics .json snapshot to display",
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="refresh period (default 1.0)",
-    )
-    p_top.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="stop after this long even if the run is still going",
-    )
-    p_top.add_argument(
-        "--once", action="store_true", help="render a single frame and exit"
-    )
-    p_top.add_argument(
-        "--json",
-        dest="json_out",
-        action="store_true",
-        help="emit the raw snapshot as JSON instead of rendering",
-    )
-    p_top.set_defaults(func=_cmd_top)
-
-    return parser
+    parsers: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+    subparsers: dict[tuple[str, ...], argparse._SubParsersAction] = {}
+    for command in COMMANDS:
+        path = tuple(command.name.split())
+        if not path:
+            parser = _Parser(prog="repro", description=command.help)
+        else:
+            if path[:-1] not in subparsers:
+                subparsers[path[:-1]] = parsers[path[:-1]].add_subparsers(
+                    dest="_".join((*path[:-1], "command")), required=True
+                )
+            parser = subparsers[path[:-1]].add_parser(
+                path[-1], help=help_text(command.help)
+            )
+        if command.executing:
+            group = parser.add_argument_group("observability")
+            for option in OBSERVABILITY:
+                add(group, option)
+        for option in command.options:
+            add(parser, option)
+        if command.handler is not None:
+            parser.set_defaults(
+                func=globals()[command.handler], executing=command.executing
+            )
+        parsers[path] = parser
+    return parsers[()]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1804,7 +1577,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Executing commands leave one durable record in the run ledger.
     # Recording is silent (the record is queried via `repro runs`, not
     # printed) so command output stays byte-stable run to run.
-    if args.command in _RECORDED_COMMANDS:
+    if args.executing:
         run_ledger.begin_run(
             args.command,
             shlex.join(list(argv) if argv is not None else sys.argv[1:]),

@@ -342,6 +342,28 @@ class TestRunsCli:
             "8d10173ea5e43a2e8158b5d03800532dc5b389aedb054b318e63cdeabac01545"
         )
 
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (
+                ["fleet", "--jobs", "2", "--nodes", "2", "--platform", "a100-40g,h100-sxm"],
+                "5420f136a8993ca14408b9802a93f6ea2381619f1f05067f4769d9f3824848cc",
+            ),
+            (
+                ["monitor"],
+                "19dfa40cbb0d3c976a4ca6ab1466e26f16f622604ffb28a3601055ac9899dda3",
+            ),
+        ],
+        ids=["fleet-mixed-pool", "monitor-default"],
+    )
+    def test_fleet_and_monitor_fingerprints_are_stable(self, argv, expected, capsys):
+        """The mixed-pool ``--platform`` string and the monitor defaults hash as before."""
+        assert main(argv) == 0
+        capsys.readouterr()
+        rec = RunLedger().last()
+        assert rec.kind == argv[0]
+        assert rec.fingerprint == expected
+
     def test_show_unknown_ref_errors(self, capsys):
         self.run_schedule()
         capsys.readouterr()

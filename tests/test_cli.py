@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import ARTIFACTS, COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -22,6 +22,23 @@ class TestParser:
     def test_rejects_unknown_artifact(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "fig99"])
+
+    def test_command_table_covers_every_parser(self):
+        # The root, 15 top-level commands and 8 runs/sentinel subcommands.
+        names = [command.name for command in COMMANDS]
+        assert len(names) == len(set(names)) == 24
+        assert sum(command.executing for command in COMMANDS) == 8
+
+    @pytest.mark.parametrize(
+        "name", [command.name for command in COMMANDS], ids=lambda name: name or "repro"
+    )
+    def test_every_help_renders(self, name, capsys):
+        # A literal % in a help string used to crash argparse's formatter.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*name.split(), "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {name}".rstrip())
 
     def test_artifact_registry_complete(self):
         expected = {"table1", "scheduling", "milc", "topdown", "system-power"} | {

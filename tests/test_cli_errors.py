@@ -10,6 +10,11 @@ either crashed with a traceback (``fleet --nodes 0``, ``fleet --jobs
 unsupported cap, an unknown workload, an allocation the host cannot
 satisfy) go through the one error boundary in ``repro.cli.main``; other
 exception types still propagate.
+
+Parse-time validation is also checked row by row from the command table
+itself (``repro.cli.COMMANDS``): every option with a validator gets each
+bad value of that validator, run in-process because argparse rejects it
+before any work starts.
 """
 
 import os
@@ -99,4 +104,57 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert cli.main(["list"]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"repro: error: out of memory: {message}"]
+    assert captured.out == ""
+
+
+#: Values each table validator must reject.
+BAD_VALUES = {
+    cli.POSITIVE_INT: ("0", "-3", "2.5", "abc"),
+    cli.NON_NEGATIVE_INT: ("-1", "1e3"),
+    cli.POSITIVE: ("0", "-1", "nan", "inf"),
+    cli.NON_NEGATIVE: ("-0.5", "nan"),
+    cli.FINITE: ("nan", "-inf", "x"),
+    cli.platform_list: (",", "", " ", "a100-40g,", "a100-40g,,h100-sxm"),
+}
+#: A valid value for each required positional.
+POSITIONALS = {"benchmark": "PdO2", "artifact": "table1", "ref_a": "last"}
+
+
+def _table_rows():
+    for command in cli.COMMANDS:
+        required = [
+            POSITIONALS[option.flags[0]]
+            for option in command.options
+            if not option.flags[0].startswith("-") and "nargs" not in option.settings
+        ]
+        for option in command.options:
+            for bad in BAD_VALUES.get(option.settings.get("type"), ()):
+                argv = [*command.name.split(), *required, option.flags[0], bad]
+                yield argv, option.flags[0]
+
+
+TABLE_ROWS = list(_table_rows())
+
+
+def test_table_rows_cover_every_validator():
+    validators = {
+        option.settings["type"]
+        for command in cli.COMMANDS
+        for option in command.options
+        if "type" in option.settings
+    }
+    assert validators == set(BAD_VALUES)
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"), TABLE_ROWS, ids=[" ".join(argv) for argv, _ in TABLE_ROWS]
+)
+def test_table_validator_rejects_bad_value(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro: error: argument {flag}")
     assert captured.out == ""
